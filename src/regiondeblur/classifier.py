@@ -283,9 +283,6 @@ class Dense:
         return {"type": "dense", "in_features": self.in_features, "out_features": self.out_features}
 
 
-_SPATIAL_LAYERS = (Conv2d, ReLU, ResidualBlock)
-
-
 # ---------------------------------------------------------------------------
 # network
 

@@ -18,8 +18,8 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,82 +73,97 @@ def _default_jobs() -> int:
     return value
 
 
-# Name -> (converter, builtin default or callable producing it).
+def _to_bool(value) -> bool:
+    """Accept a JSON boolean or the strings "true"/"false"; reject anything else."""
+    if isinstance(value, bool):
+        return value
+    if value in ("true", "false"):
+        return value == "true"
+    raise ValueError(f"expected true or false, got {value!r}")
+
+
+class Option(NamedTuple):
+    """A default of None marks the option required; a callable one is resolved per run."""
+
+    conv: Callable
+    default: object
+    help: str | None = None
+    flag: str | None = None
+
+
 _COMMAND_OPTIONS = {
     "synthesize": {
-        "sharp_dir": (str, None),
-        "kernel_dir": (str, None),
-        "out_dir": (str, None),
-        "sigma": (float, 4.0),
-        "seed": (int, 0),
-        "jobs": (int, _default_jobs),
+        "sharp_dir": Option(str, None),
+        "kernel_dir": Option(str, None),
+        "out_dir": Option(str, None),
+        "sigma": Option(float, 4.0, "noise std on the 0-255 scale"),
+        "seed": Option(int, 0),
+        "jobs": Option(int, _default_jobs),
     },
     "label": {
-        "manifest": (str, None),
-        "out_dir": (str, None),
-        "patch_size": (int, 228),
-        "stride": (int, 20),
-        "kernel_size": (int, 27),
-        "threshold": (float, 0.75),
-        "jobs": (int, _default_jobs),
-        "store_patches": (bool, False),
+        "manifest": Option(str, None),
+        "out_dir": Option(str, None),
+        "patch_size": Option(int, 228),
+        "stride": Option(int, 20),
+        "kernel_size": Option(int, 27),
+        "threshold": Option(float, 0.75, "similarity threshold separating good from bad patches",
+                            flag="--lambda"),
+        "jobs": Option(int, _default_jobs),
+        "store_patches": Option(_to_bool, False),
     },
     "train": {
-        "dataset": (str, None),
-        "out_dir": (str, None),
-        "epochs": (int, 20),
-        "batch_size": (int, 32),
-        "learning_rate": (float, 0.001),
-        "momentum": (float, 0.9),
-        "seed": (int, 0),
-        "input_side": (int, 0),
+        "dataset": Option(str, None),
+        "out_dir": Option(str, None),
+        "epochs": Option(int, 20),
+        "batch_size": Option(int, 32),
+        "learning_rate": Option(float, 0.001),
+        "momentum": Option(float, 0.9),
+        "seed": Option(int, 0),
+        "input_side": Option(int, 0, "network input side; 0 uses the dataset patch size"),
     },
     "select": {
-        "model": (str, None),
-        "image": (str, None),
-        "patch_size": (int, 0),
-        "stride": (int, 20),
-        "top": (int, 5),
-        "out_json": (str, ""),
-        "out_annotated": (str, ""),
+        "model": Option(str, None),
+        "image": Option(str, None),
+        "patch_size": Option(int, 0, "0 uses the model input side"),
+        "stride": Option(int, 20),
+        "top": Option(int, 5),
+        "out_json": Option(str, ""),
+        "out_annotated": Option(str, ""),
     },
     "deblur": {
-        "model": (str, None),
-        "image": (str, None),
-        "kernel_size": (int, None),
-        "out_dir": (str, None),
-        "patch_size": (int, 0),
-        "stride": (int, 20),
-        "latent_reg": (float, 2e-3),
+        "model": Option(str, None),
+        "image": Option(str, None),
+        "kernel_size": Option(int, None),
+        "out_dir": Option(str, None),
+        "patch_size": Option(int, 0),
+        "stride": Option(int, 20),
+        "latent_reg": Option(float, 2e-3),
     },
     "evaluate": {
-        "manifest": (str, None),
-        "model": (str, ""),
-        "out_dir": (str, None),
-        "patch_size": (int, 228),
-        "stride": (int, 20),
-        "kernel_size": (int, 27),
-        "methods": (str, "top,random,whole,center,gt"),
-        "seed": (int, 0),
+        "manifest": Option(str, None),
+        "model": Option(str, ""),
+        "out_dir": Option(str, None),
+        "patch_size": Option(int, 228),
+        "stride": Option(int, 20),
+        "kernel_size": Option(int, 27),
+        "methods": Option(str, "top,random,whole,center,gt",
+                          "comma-separated subset of " + ",".join(EVAL_METHODS)),
+        "seed": Option(int, 0),
     },
 }
 
-_REQUIRED = {
-    "synthesize": ("sharp_dir", "kernel_dir", "out_dir"),
-    "label": ("manifest", "out_dir"),
-    "train": ("dataset", "out_dir"),
-    "select": ("model", "image"),
-    "deblur": ("model", "image", "kernel_size", "out_dir"),
-    "evaluate": ("manifest", "out_dir"),
-}
+
+def _flag(name: str, option: Option) -> str:
+    """``--name-with-dashes`` unless the option spells its flag otherwise."""
+    return option.flag or "--" + name.replace("_", "-")
 
 
 def resolve_options(command: str, args: argparse.Namespace) -> dict:
     """Merge builtin defaults, the optional config file, and explicit flags."""
     spec = _COMMAND_OPTIONS[command]
     merged = {}
-    for name, (conv, default) in spec.items():
-        merged[name] = default() if callable(default) else default
+    for name, opt in spec.items():
+        merged[name] = opt.default() if callable(opt.default) else opt.default
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -160,15 +175,17 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
         for key, value in raw.items():
             if key not in spec:
                 raise ValidationError(f"config key {key!r} is not an option of {command!r}")
-            conv = spec[key][0]
-            merged[key] = bool(value) if conv is bool else conv(value)
-    for name, (conv, _default) in spec.items():
+            try:
+                merged[key] = spec[key].conv(value)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"config key {key!r} has a bad value: {exc}")
+    for name in spec:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    for name in _REQUIRED[command]:
-        if merged.get(name) is None:
-            raise ValidationError(f"missing required option --{name.replace('_', '-')}")
+    for name, opt in spec.items():
+        if merged[name] is None:
+            raise ValidationError(f"missing required option {_flag(name, opt)}")
     return merged
 
 
@@ -180,8 +197,7 @@ def _echo_config(command: str, options: dict, out_dir: Path) -> None:
     )
 
 
-def _cmd_synthesize(args: argparse.Namespace) -> int:
-    opts = resolve_options("synthesize", args)
+def _cmd_synthesize(opts: dict) -> int:
     out_dir = Path(opts["out_dir"])
     noise = NoiseModel(sigma=opts["sigma"], seed=opts["seed"])
     manifest = generate_corpus(
@@ -192,8 +208,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_label(args: argparse.Namespace) -> int:
-    opts = resolve_options("label", args)
+def _cmd_label(opts: dict) -> int:
     manifest = CorpusManifest.load(opts["manifest"])
     grid = PatchGridSpec(patch_size=opts["patch_size"], stride=opts["stride"])
     est_cfg = EstimatorConfig(kernel_size=opts["kernel_size"])
@@ -212,8 +227,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    opts = resolve_options("train", args)
+def _cmd_train(opts: dict) -> int:
     dataset = LabeledDataset.load(opts["dataset"])
     samples = load_training_samples(dataset)
     if not samples:
@@ -242,8 +256,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
-    opts = resolve_options("select", args)
+def _cmd_select(opts: dict) -> int:
     net = load_model(opts["model"])
     image = read_image(opts["image"])
     patch_size = opts["patch_size"] or net.input_side
@@ -263,8 +276,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_deblur(args: argparse.Namespace) -> int:
-    opts = resolve_options("deblur", args)
+def _cmd_deblur(opts: dict) -> int:
     net = load_model(opts["model"])
     image = read_image(opts["image"])
     patch_size = opts["patch_size"] or net.input_side
@@ -294,8 +306,7 @@ def _cmd_deblur(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    opts = resolve_options("evaluate", args)
+def _cmd_evaluate(opts: dict) -> int:
     manifest = CorpusManifest.load(opts["manifest"])
     methods = tuple(m.strip() for m in opts["methods"].split(",") if m.strip())
     net = load_model(opts["model"]) if opts["model"] else None
@@ -328,8 +339,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with option defaults for this command")
+_COMMANDS = {
+    "synthesize": (_cmd_synthesize, "blur sharp images with kernels and noise"),
+    "label": (_cmd_label, "label corpus patches with the built-in estimator"),
+    "train": (_cmd_train, "train the patch classifier on a labeled dataset"),
+    "select": (_cmd_select, "rank the patches of one image"),
+    "deblur": (_cmd_deblur, "deblur one image from its best patch"),
+    "evaluate": (_cmd_evaluate, "benchmark selection strategies on a corpus"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,78 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Blind deblurring that picks its estimation region with a learned classifier.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p = subparsers.add_parser("synthesize", help="blur sharp images with kernels and noise")
-    _add_common(p)
-    p.add_argument("--sharp-dir", dest="sharp_dir")
-    p.add_argument("--kernel-dir", dest="kernel_dir")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--sigma", type=float, help="noise std on the 0-255 scale")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_synthesize)
-
-    p = subparsers.add_parser("label", help="label corpus patches with the built-in estimator")
-    _add_common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--patch-size", dest="patch_size", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--kernel-size", dest="kernel_size", type=int)
-    p.add_argument("--lambda", dest="threshold", type=float,
-                   help="similarity threshold separating good from bad patches")
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--store-patches", dest="store_patches", action="store_const", const=True)
-    p.set_defaults(func=_cmd_label)
-
-    p = subparsers.add_parser("train", help="train the patch classifier on a labeled dataset")
-    _add_common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--input-side", dest="input_side", type=int,
-                   help="network input side; 0 uses the dataset patch size")
-    p.set_defaults(func=_cmd_train)
-
-    p = subparsers.add_parser("select", help="rank the patches of one image")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--image")
-    p.add_argument("--patch-size", dest="patch_size", type=int,
-                   help="0 uses the model input side")
-    p.add_argument("--stride", type=int)
-    p.add_argument("--top", type=int)
-    p.add_argument("--out-json", dest="out_json")
-    p.add_argument("--out-annotated", dest="out_annotated")
-    p.set_defaults(func=_cmd_select)
-
-    p = subparsers.add_parser("deblur", help="deblur one image from its best patch")
-    _add_common(p)
-    p.add_argument("--model")
-    p.add_argument("--image")
-    p.add_argument("--kernel-size", dest="kernel_size", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--patch-size", dest="patch_size", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--latent-reg", dest="latent_reg", type=float)
-    p.set_defaults(func=_cmd_deblur)
-
-    p = subparsers.add_parser("evaluate", help="benchmark selection strategies on a corpus")
-    _add_common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--model")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--patch-size", dest="patch_size", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--kernel-size", dest="kernel_size", type=int)
-    p.add_argument("--methods", help="comma-separated subset of " + ",".join(EVAL_METHODS))
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_evaluate)
-
+    for command, (func, help_text) in _COMMANDS.items():
+        p = subparsers.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON file with option defaults for this command")
+        for name, opt in _COMMAND_OPTIONS[command].items():
+            # A boolean flag given alone means true; it also takes an explicit value.
+            extra = {"nargs": "?", "const": True} if opt.conv is _to_bool else {}
+            p.add_argument(_flag(name, opt), dest=name, type=opt.conv, help=opt.help, **extra)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -421,7 +374,7 @@ def main(argv=None) -> int:
         code = exc.code if exc.code is not None else 0
         return EXIT_OK if code == 0 else EXIT_VALIDATION
     try:
-        return args.func(args)
+        return args.func(resolve_options(args.command, args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

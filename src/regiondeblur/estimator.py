@@ -34,6 +34,7 @@ from .imagecore import (
     kernel_otf,
     read_kernel,
     resample,
+    taper_window,
     write_image,
 )
 
@@ -83,11 +84,6 @@ class PyramidLevel:
 
 
 @dataclass(frozen=True)
-class Pyramid:
-    levels: tuple[PyramidLevel, ...]
-
-
-@dataclass(frozen=True)
 class KernelEstimate:
     """Final kernel plus per-level snapshots; `degenerate` flags the delta fallback."""
 
@@ -100,7 +96,7 @@ def _nearest_odd(value: float) -> int:
     return max(3, 2 * int(value // 2) + 1)
 
 
-def build_pyramid(blurred: Image, cfg: EstimatorConfig) -> Pyramid:
+def build_pyramid(blurred: Image, cfg: EstimatorConfig) -> tuple[PyramidLevel, ...]:
     """Coarse-to-fine schedule; level count is the smallest n with
     kernel_size * ratio^(n-1) <= coarsest side (5)."""
     if 3 * cfg.kernel_size > min(blurred.shape):
@@ -116,7 +112,7 @@ def build_pyramid(blurred: Image, cfg: EstimatorConfig) -> Pyramid:
         size = _nearest_odd(cfg.kernel_size * scale)
         img = blurred if scale == 1.0 else resample(blurred, scale)
         levels.append(PyramidLevel(image=img, kernel_size=size, scale=scale))
-    return Pyramid(levels=tuple(levels))
+    return tuple(levels)
 
 
 def _forward_diff(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,19 +198,6 @@ def solve_latent(blurred: Image, k: Kernel, reg: float = 2e-3) -> Image:
     return Image(latent)
 
 
-def _taper_window(shape: tuple[int, int], taper: int) -> np.ndarray:
-    def ramp(n: int) -> np.ndarray:
-        w = np.ones(n)
-        t = min(taper, n // 2)
-        if t > 0:
-            edge = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, t + 1) / (t + 1.0)))
-            w[:t] = edge
-            w[n - t:] = edge[::-1]
-        return w
-
-    return ramp(shape[0])[:, None] * ramp(shape[1])[None, :]
-
-
 def _recenter(k: Kernel) -> Kernel:
     rows, cols = np.indices(k.weights.shape)
     mass = k.weights.sum()
@@ -249,9 +232,9 @@ def estimate_kernel(blurred: Image, cfg: EstimatorConfig) -> KernelEstimate:
     pyramid = build_pyramid(blurred, cfg)
     kernel: Kernel | None = None
     per_level: list[Kernel] = []
-    for level_index, level in enumerate(pyramid.levels):
+    for level_index, level in enumerate(pyramid):
         observed = level.image.pixels
-        window = _taper_window(observed.shape, level.kernel_size)
+        window = taper_window(observed.shape, (level.kernel_size, level.kernel_size))
         gx_b, gy_b = _forward_diff(observed)
         gx_b, gy_b = gx_b * window, gy_b * window
         if kernel is None:

@@ -212,14 +212,19 @@ def kernel_otf(weights, shape: tuple[int, int]) -> np.ndarray:
     return np.fft.fft2(big)
 
 
-def _edge_ramp(n: int, taper: int) -> np.ndarray:
-    w = np.ones(n)
-    t = min(taper, n // 2)
-    if t > 0:
-        ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, t + 1) / (t + 1.0)))
-        w[:t] = ramp
-        w[n - t:] = ramp[::-1]
-    return w
+def taper_window(shape: tuple[int, int], taper: tuple[int, int]) -> np.ndarray:
+    """Separable raised-cosine window: 1 inside, rising over `taper` pixels
+    (per axis, at most half the side) at every border."""
+    def ramp(n: int, t: int) -> np.ndarray:
+        w = np.ones(n)
+        t = min(t, n // 2)
+        if t > 0:
+            edge = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, t + 1) / (t + 1.0)))
+            w[:t] = edge
+            w[n - t:] = edge[::-1]
+        return w
+
+    return ramp(shape[0], taper[0])[:, None] * ramp(shape[1], taper[1])[None, :]
 
 
 def edge_taper(img: Image, k: Kernel) -> Image:
@@ -229,9 +234,7 @@ def edge_taper(img: Image, k: Kernel) -> Image:
     if ph == 0 and pw == 0:
         return img
     blurred = convolve_fft(img, k, BoundaryMode.PERIODIC).pixels
-    wr = _edge_ramp(img.height, ph)
-    wc = _edge_ramp(img.width, pw)
-    w2 = wr[:, None] * wc[None, :]
+    w2 = taper_window(img.shape, (ph, pw))
     return Image(w2 * img.pixels + (1.0 - w2) * blurred)
 
 

@@ -13,16 +13,17 @@ import hashlib
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .classifier import TrainingSample
 from .errors import ValidationError
-from .estimator import EstimatorConfig, estimate_kernel
+from .estimator import BlindEstimator, EstimatorConfig
+# Unused here, but perfbench's tracer test reads `labeling.estimate_kernel`.
+from .estimator import estimate_kernel  # noqa: F401
 from .imagecore import read_image, read_kernel, write_image
 from .kernelsim import LabelConfig, kernel_similarity, label
-from .synthesis import CorpusManifest, PatchGridSpec, PatchRef, extract, patch_grid
+from .synthesis import CorpusManifest, PatchGridSpec, PatchRef, extract, map_jobs, patch_grid
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -119,22 +120,22 @@ def estimator_fingerprint(cfg: EstimatorConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _label_one_image(args):
+def _label_one_image(task):
     """Worker: similarity of every grid patch of one blurred image."""
-    index, blurred_path, kernel_path, grid, cfg, match = args
+    blurred_path, kernel_path, grid, estimator, match = task
     blurred = read_image(blurred_path)
     true_kernel = read_kernel(kernel_path)
     if match:
-        cfg = replace(cfg, kernel_size=true_kernel.side_h)
+        estimator = estimator.with_kernel_size(true_kernel.side_h)
     rows = []
     for ref in patch_grid(blurred, grid):
-        estimate = estimate_kernel(extract(blurred, ref), cfg)
+        estimate = estimator(extract(blurred, ref))
         if estimate.degenerate:
             rows.append((ref, 0.0, STATUS_DEGENERATE))
         else:
             sim = kernel_similarity(estimate.kernel, true_kernel)
             rows.append((ref, sim.value, STATUS_OK))
-    return index, rows
+    return rows
 
 
 def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
@@ -143,29 +144,23 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
                   estimator=None, match_kernel_size: bool = True) -> LabeledDataset:
     """Label every patch of every corpus image against its true kernel.
 
-    Worker results are reassembled in manifest order, so the dataset is
-    identical for any job count. A custom estimator runs in-process and
-    ignores ``jobs``.
+    Images are labeled in ``jobs`` worker processes (``jobs`` must be >= 1;
+    1 runs in-process) and reassembled in manifest order, so the dataset is
+    identical for any job count. ``estimator`` defaults to
+    ``BlindEstimator(est_cfg)``; a custom one must be picklable when
+    ``jobs > 1``.
     """
     if not manifest.entries:
         raise ValidationError("corpus manifest has no entries")
-    if jobs < 1:
-        raise ValidationError(f"jobs must be positive, got {jobs}")
     if store_patches and out_dir is None:
         raise ValidationError("store_patches requires an output directory")
+    worker_estimator = BlindEstimator(est_cfg) if estimator is None else estimator
     tasks = [
-        (i, manifest.resolve(e.blurred_path), manifest.resolve(e.kernel_path),
-         grid, est_cfg, match_kernel_size)
-        for i, e in enumerate(manifest.entries)
+        (manifest.resolve(e.blurred_path), manifest.resolve(e.kernel_path), grid,
+         worker_estimator, match_kernel_size)
+        for e in manifest.entries
     ]
-    if estimator is not None:
-        results = [_label_with_custom(t, estimator) for t in tasks]
-    elif jobs == 1:
-        results = [_label_one_image(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_label_one_image, tasks))
-    results.sort(key=lambda r: r[0])
+    results = map_jobs(_label_one_image, tasks, jobs)
 
     out_dir = Path(out_dir) if out_dir is not None else None
     patch_dir = None
@@ -174,8 +169,7 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
         patch_dir.mkdir(parents=True, exist_ok=True)
 
     samples = []
-    for index, rows in results:
-        entry = manifest.entries[index]
+    for index, (entry, rows) in enumerate(zip(manifest.entries, results)):
         image_id = Path(entry.blurred_path).stem
         blurred = read_image(manifest.resolve(entry.blurred_path)) if store_patches else None
         for ref, sim, status in rows:
@@ -214,22 +208,6 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
             dataset.manifest_path = os.path.relpath(manifest.base_dir / "manifest.json", out_dir)
         dataset.save(out_dir / "dataset.json")
     return dataset
-
-
-def _label_with_custom(task, estimator):
-    index, blurred_path, kernel_path, grid, _cfg, match = task
-    blurred = read_image(blurred_path)
-    true_kernel = read_kernel(kernel_path)
-    est = estimator.with_kernel_size(true_kernel.side_h) if match else estimator
-    rows = []
-    for ref in patch_grid(blurred, grid):
-        estimate = est(extract(blurred, ref))
-        if estimate.degenerate:
-            rows.append((ref, 0.0, STATUS_DEGENERATE))
-        else:
-            sim = kernel_similarity(estimate.kernel, true_kernel)
-            rows.append((ref, sim.value, STATUS_OK))
-    return index, rows
 
 
 def relabel(dataset: LabeledDataset, label_cfg: LabelConfig) -> LabeledDataset:

@@ -7,6 +7,7 @@ JSON manifest with per-pair seeds derived from the master seed by splitmix64.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import warnings
@@ -178,6 +179,17 @@ def _warn_kernel_range(path: Path, k: Kernel) -> None:
         )
 
 
+def map_jobs(fn, tasks, jobs: int) -> list:
+    """`[fn(t) for t in tasks]`, spread over `jobs` worker processes when
+    jobs > 1. Results keep task order, so they do not depend on `jobs`."""
+    if jobs < 1:
+        raise ValidationError(f"jobs must be positive, got {jobs}")
+    if jobs == 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _synthesize_pair(args) -> None:
     sharp_path, kernel_path, out_path, sigma, seed = args
     sharp = read_image(sharp_path)
@@ -204,32 +216,24 @@ def generate_corpus(sharp_dir, kernel_dir, noise: NoiseModel, out_dir, *, jobs: 
     entries = []
     tasks = []
     seen = set()
-    index = 0
-    for sp in sharp_files:
-        for kf in kernel_files:
-            name = f"blur_{sp.stem}_{kf.stem}.pfm"
-            if name in seen:
-                raise ValidationError(f"duplicate output name {name}; rename inputs")
-            seen.add(name)
-            seed = derive_seed(noise.seed, index)
-            tasks.append((str(sp), str(kf), str(out_dir / name), noise.sigma, seed))
-            entries.append(
-                CorpusEntry(
-                    sharp_path=os.path.relpath(sp, out_dir),
-                    kernel_path=os.path.relpath(kf, out_dir),
-                    blurred_path=name,
-                    sigma=noise.sigma,
-                    seed=seed,
-                )
+    for index, (sp, kf) in enumerate(itertools.product(sharp_files, kernel_files)):
+        name = f"blur_{sp.stem}_{kf.stem}.pfm"
+        if name in seen:
+            raise ValidationError(f"duplicate output name {name}; rename inputs")
+        seen.add(name)
+        seed = derive_seed(noise.seed, index)
+        tasks.append((str(sp), str(kf), str(out_dir / name), noise.sigma, seed))
+        entries.append(
+            CorpusEntry(
+                sharp_path=os.path.relpath(sp, out_dir),
+                kernel_path=os.path.relpath(kf, out_dir),
+                blurred_path=name,
+                sigma=noise.sigma,
+                seed=seed,
             )
-            index += 1
+        )
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(_synthesize_pair, tasks))
-    else:
-        for task in tasks:
-            _synthesize_pair(task)
+    map_jobs(_synthesize_pair, tasks, jobs)
 
     manifest = CorpusManifest(entries=entries, master_seed=noise.seed, sigma=noise.sigma)
     manifest.save(out_dir / "manifest.json")

@@ -193,6 +193,49 @@ def test_malformed_config_json_is_rejected(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, flags, expected", [
+    ("label", {"store_patches": True}, [], True),
+    ("label", {"store_patches": False}, [], False),
+    ("label", {"store_patches": "true"}, [], True),
+    ("label", {"store_patches": "false"}, [], False),
+    ("label", {}, [], False),
+    ("label", {}, ["--store-patches"], True),
+    ("label", {"store_patches": "false"}, ["--store-patches"], True),
+    ("label", {"store_patches": True}, ["--store-patches", "false"], False),
+    ("label", {"store_patches": "yes"}, [], None),
+    ("label", {"store_patches": 1}, [], None),
+    ("synthesize", {"sigma": "abc"}, [], None),
+    ("synthesize", {"seed": None}, [], None),
+])
+def test_option_values_go_through_their_converter(tmp_path, capsys, command, config, flags,
+                                                  expected):
+    """Config values and flags convert alike; a bad config value exits 2 naming its key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    required = {
+        "label": ["--manifest", "m.json"],
+        "synthesize": ["--sharp-dir", "a", "--kernel-dir", "b"],
+    }[command]
+    argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *required, *flags]
+    key = next(iter(config), "store_patches")
+    if expected is None:
+        assert main(argv) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+    else:
+        assert resolve_options(command, build_parser().parse_args(argv))[key] is expected
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_non_positive_jobs_are_rejected(pipeline, tmp_path, capsys, jobs):
+    code = main([
+        "synthesize", "--sharp-dir", str(pipeline["sharp"]),
+        "--kernel-dir", str(pipeline["kernels"]), "--out-dir", str(tmp_path / "out"),
+        "--jobs", jobs,
+    ])
+    assert code == EXIT_VALIDATION
+    assert "jobs" in capsys.readouterr().err
+
+
 def test_missing_required_option(capsys):
     assert main(["label", "--out-dir", "somewhere"]) == EXIT_VALIDATION
     assert "--manifest" in capsys.readouterr().err

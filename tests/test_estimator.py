@@ -36,21 +36,21 @@ def test_config_rejects_ratio_outside_unit_interval():
 def test_pyramid_schedule_for_size_27():
     img = Image(np.random.default_rng(0).uniform(0, 1, (96, 96)))
     pyr = build_pyramid(img, EstimatorConfig(kernel_size=27))
-    assert [lvl.kernel_size for lvl in pyr.levels] == [5, 7, 9, 13, 19, 27]
-    assert pyr.levels[-1].scale == 1.0
-    assert pyr.levels[-1].image is img
+    assert [lvl.kernel_size for lvl in pyr] == [5, 7, 9, 13, 19, 27]
+    assert pyr[-1].scale == 1.0
+    assert pyr[-1].image is img
 
 
 def test_pyramid_schedule_for_size_13():
     img = Image(np.random.default_rng(1).uniform(0, 1, (64, 64)))
     pyr = build_pyramid(img, EstimatorConfig(kernel_size=13))
-    assert [lvl.kernel_size for lvl in pyr.levels] == [5, 7, 9, 13]
+    assert [lvl.kernel_size for lvl in pyr] == [5, 7, 9, 13]
 
 
 def test_pyramid_level_dims_shrink_with_scale():
     img = Image(np.random.default_rng(2).uniform(0, 1, (80, 60)))
     pyr = build_pyramid(img, EstimatorConfig(kernel_size=13))
-    for lvl in pyr.levels[:-1]:
+    for lvl in pyr[:-1]:
         assert lvl.image.height < img.height
         assert lvl.image.width < img.width
 

@@ -3,7 +3,7 @@ import pytest
 
 from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel
 from regiondeblur.errors import ValidationError
-from regiondeblur.estimator import EstimatorConfig, KernelEstimate
+from regiondeblur.estimator import BlindEstimator, EstimatorConfig, KernelEstimate
 from regiondeblur.imagecore import Kernel, write_image, write_kernel
 from regiondeblur.kernelsim import LabelConfig
 from regiondeblur.labeling import (
@@ -148,6 +148,11 @@ def test_custom_estimator_gets_matched_kernel_size(scene_corpus):
     assert set(est.sizes_requested) == {7}
     assert ds.estimator_fingerprint != estimator_fingerprint(EST)
     assert all(s.status == STATUS_OK for s in ds.samples)
+
+
+def test_custom_estimator_runs_in_a_pool_like_the_default(scene_corpus):
+    pooled = build_dataset(scene_corpus, GRID, EST, LABELS, estimator=BlindEstimator(EST), jobs=2)
+    assert pooled.samples == build_dataset(scene_corpus, GRID, EST, LABELS).samples
 
 
 def test_estimator_fingerprint_tracks_config():

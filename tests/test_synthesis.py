@@ -17,6 +17,7 @@ from regiondeblur.synthesis import (
     derive_seed,
     extract,
     generate_corpus,
+    map_jobs,
     patch_grid,
     splitmix64,
 )
@@ -206,3 +207,8 @@ def test_generate_corpus_warns_on_unusual_kernel_size(tmp_path):
     write_kernel(random_motion_kernel(9, seed=1), kernel_dir / "small.txt")
     with pytest.warns(UserWarning, match="outside"):
         generate_corpus(sharp_dir, kernel_dir, NoiseModel(sigma=0.0), tmp_path / "corpus")
+
+
+def test_map_jobs_rejects_non_positive_jobs():
+    with pytest.raises(ValidationError):
+        map_jobs(abs, [1], 0)
