@@ -175,6 +175,8 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
         for key, value in raw.items():
             if key not in spec:
                 raise ValidationError(f"config key {key!r} is not an option of {command!r}")
+            if value is None:
+                raise ValidationError(f"config key {key!r} has a bad value: null")
             try:
                 merged[key] = spec[key].conv(value)
             except (TypeError, ValueError) as exc:

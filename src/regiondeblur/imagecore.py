@@ -9,6 +9,7 @@ format (header line "side_h side_w" followed by row-major weights).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -200,7 +201,8 @@ def resample(img: Image, scale: float) -> Image:
 # frequency-domain helpers shared with the estimator
 
 def kernel_otf(weights, shape: tuple[int, int]) -> np.ndarray:
-    """Optical transfer function: kernel embedded at the origin, then FFT'd."""
+    """Half-spectrum optical transfer function: the kernel embedded with its
+    centre at the origin, then rfft2'd. Invert with irfft2(..., s=shape)."""
     arr = np.asarray(weights, dtype=np.float64)
     kh, kw = arr.shape
     h, w = shape
@@ -209,22 +211,36 @@ def kernel_otf(weights, shape: tuple[int, int]) -> np.ndarray:
     big = np.zeros(shape)
     big[:kh, :kw] = arr
     big = np.roll(big, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-    return np.fft.fft2(big)
+    return np.fft.rfft2(big)
+
+
+@functools.lru_cache(maxsize=64)
+def _taper_ramp(n: int, t: int) -> np.ndarray:
+    ramp = np.ones(n)
+    t = min(t, n // 2)
+    if t > 0:
+        edge = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, t + 1) / (t + 1.0)))
+        ramp[:t] = edge
+        ramp[n - t:] = edge[::-1]
+    ramp.flags.writeable = False
+    return ramp
 
 
 def taper_window(shape: tuple[int, int], taper: tuple[int, int]) -> np.ndarray:
     """Separable raised-cosine window: 1 inside, rising over `taper` pixels
     (per axis, at most half the side) at every border."""
-    def ramp(n: int, t: int) -> np.ndarray:
-        w = np.ones(n)
-        t = min(t, n // 2)
-        if t > 0:
-            edge = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, t + 1) / (t + 1.0)))
-            w[:t] = edge
-            w[n - t:] = edge[::-1]
-        return w
+    return _taper_ramp(shape[0], taper[0])[:, None] * _taper_ramp(shape[1], taper[1])[None, :]
 
-    return ramp(shape[0], taper[0])[:, None] * ramp(shape[1], taper[1])[None, :]
+
+def _periodic_taper(pixels: np.ndarray, otf: np.ndarray, taper: tuple[int, int]) -> np.ndarray:
+    """Blend the border band of `pixels` toward their circular blur by `otf`.
+
+    Circular convolution equals the valid convolution of the periodically
+    padded image with the centred kernel, so one OTF serves both this blur
+    and any Wiener solve that follows."""
+    blurred = np.fft.irfft2(otf * np.fft.rfft2(pixels), s=pixels.shape)
+    w2 = taper_window(pixels.shape, taper)
+    return w2 * pixels + (1.0 - w2) * blurred
 
 
 def edge_taper(img: Image, k: Kernel) -> Image:
@@ -233,9 +249,7 @@ def edge_taper(img: Image, k: Kernel) -> Image:
     ph, pw = k.side_h // 2, k.side_w // 2
     if ph == 0 and pw == 0:
         return img
-    blurred = convolve_fft(img, k, BoundaryMode.PERIODIC).pixels
-    w2 = taper_window(img.shape, (ph, pw))
-    return Image(w2 * img.pixels + (1.0 - w2) * blurred)
+    return Image(_periodic_taper(img.pixels, kernel_otf(k.weights, img.shape), (ph, pw)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Kernel similarity scoring and threshold labeling.
 
 Similarity is the maximum normalized cross-correlation over all integer 2-D
-shifts: the best overlap sum divided by the product of the L2 norms. Per-shift
-sums use math.fsum, which is correctly rounded, so identical kernels score
-exactly 1.0 and the score is exactly invariant to translating either kernel.
+shifts: the best overlap sum divided by the product of the L2 norms. The best
+overlap is the largest correctly rounded (math.fsum) per-shift sum, so
+identical kernels score exactly 1.0 and the score is exactly invariant to
+translating either kernel. All shifts are first summed at once in floating
+point; only those whose float sum lies within the rounding bound of the float
+maximum are summed again with math.fsum.
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .imagecore import Kernel
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,20 @@ def kernel_similarity(k_est, k_true) -> SimilarityScore:
     hb, wb = b.shape
     canvas = np.zeros((hb + 2 * (ha - 1), wb + 2 * (wa - 1)))
     canvas[ha - 1:ha - 1 + hb, wa - 1:wa - 1 + wb] = b
+    windows = sliding_window_view(canvas, (ha, wa))
+    sums = np.einsum("ijkl,kl->ij", windows, a)
+    # Every product is non-negative, so each float sum lies within `slack`
+    # of its exact value; only shifts within twice that of the float
+    # maximum can hold the exact maximum, and only those get math.fsum.
+    # (An overflowed maximum makes the bound NaN, which keeps every shift.)
+    top = float(sums.max())
+    n = a.size
+    slack = (n + 2) * _EPS * top + n * _TINY
     best = 0.0
-    for i in range(hb + ha - 1):
-        for j in range(wb + wa - 1):
-            s = _exact_sum(a * canvas[i:i + ha, j:j + wa])
-            if s > best:
-                best = s
+    for i, j in zip(*np.nonzero(~(sums < top - 2.0 * slack))):
+        s = _exact_sum(a * windows[i, j])
+        if s > best:
+            best = s
     value = best / math.sqrt(sq_a * sq_b)
     return SimilarityScore(min(1.0, value))
 

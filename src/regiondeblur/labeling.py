@@ -17,13 +17,21 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .classifier import TrainingSample
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .estimator import BlindEstimator, EstimatorConfig
 # Unused here, but perfbench's tracer test reads `labeling.estimate_kernel`.
 from .estimator import estimate_kernel  # noqa: F401
 from .imagecore import read_image, read_kernel, write_image
 from .kernelsim import LabelConfig, kernel_similarity, label
-from .synthesis import CorpusManifest, PatchGridSpec, PatchRef, extract, map_jobs, patch_grid
+from .synthesis import (
+    CorpusManifest,
+    PatchGridSpec,
+    PatchRef,
+    extract,
+    map_jobs,
+    patch_grid,
+    read_json_object,
+)
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -92,27 +100,30 @@ class LabeledDataset:
     @staticmethod
     def load(path) -> "LabeledDataset":
         path = Path(path)
-        raw = json.loads(path.read_text())
-        samples = tuple(
-            LabeledSample(
-                image_id=row["image_id"],
-                image_index=row["image_index"],
-                ref=PatchRef(row["row0"], row["col0"], row["size"]),
-                similarity=row["similarity"],
-                label=row["label"],
-                status=row["status"],
-                patch_path=row.get("patch_path"),
+        raw = read_json_object(path, "dataset")
+        try:
+            samples = tuple(
+                LabeledSample(
+                    image_id=row["image_id"],
+                    image_index=row["image_index"],
+                    ref=PatchRef(row["row0"], row["col0"], row["size"]),
+                    similarity=row["similarity"],
+                    label=row["label"],
+                    status=row["status"],
+                    patch_path=row.get("patch_path"),
+                )
+                for row in raw["samples"]
             )
-            for row in raw["samples"]
-        )
-        return LabeledDataset(
-            samples=samples,
-            threshold=raw["threshold"],
-            estimator_fingerprint=raw["estimator_fingerprint"],
-            storage=raw["storage"],
-            manifest_path=raw.get("manifest_path"),
-            base_dir=path.parent,
-        )
+            return LabeledDataset(
+                samples=samples,
+                threshold=raw["threshold"],
+                estimator_fingerprint=raw["estimator_fingerprint"],
+                storage=raw["storage"],
+                manifest_path=raw.get("manifest_path"),
+                base_dir=path.parent,
+            )
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"dataset {path} lacks a field or has a malformed row: {exc}") from exc
 
 
 def estimator_fingerprint(cfg: EstimatorConfig) -> str:

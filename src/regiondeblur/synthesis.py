@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError
 from .imagecore import (
     BoundaryMode,
     Image,
@@ -89,6 +89,17 @@ class PatchRef:
             raise ValidationError(f"patch size must be positive, got {self.size}")
 
 
+def read_json_object(path: Path, what: str) -> dict:
+    """Decode a JSON file that must hold an object; anything else is a ParseError."""
+    try:
+        raw = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{what} {path} must hold a JSON object")
+    return raw
+
+
 @dataclass(frozen=True)
 class CorpusEntry:
     sharp_path: str
@@ -124,8 +135,11 @@ class CorpusManifest:
     @staticmethod
     def load(path) -> "CorpusManifest":
         path = Path(path)
-        raw = json.loads(path.read_text())
-        entries = [CorpusEntry(**e) for e in raw["entries"]]
+        raw = read_json_object(path, "manifest")
+        try:
+            entries = [CorpusEntry(**e) for e in raw["entries"]]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"manifest {path} lacks a field or has a malformed entry: {exc}") from exc
         return CorpusManifest(
             entries=entries,
             master_seed=raw.get("master_seed", 0),
@@ -179,11 +193,15 @@ def _warn_kernel_range(path: Path, k: Kernel) -> None:
         )
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValidationError(f"jobs must be positive, got {jobs}")
+
+
 def map_jobs(fn, tasks, jobs: int) -> list:
     """`[fn(t) for t in tasks]`, spread over `jobs` worker processes when
     jobs > 1. Results keep task order, so they do not depend on `jobs`."""
-    if jobs < 1:
-        raise ValidationError(f"jobs must be positive, got {jobs}")
+    _check_jobs(jobs)
     if jobs == 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -200,6 +218,7 @@ def _synthesize_pair(args) -> None:
 
 def generate_corpus(sharp_dir, kernel_dir, noise: NoiseModel, out_dir, *, jobs: int = 1) -> CorpusManifest:
     """Blur every (sharp, kernel) pair into out_dir and write manifest.json."""
+    _check_jobs(jobs)
     sharp_dir, kernel_dir, out_dir = Path(sharp_dir), Path(kernel_dir), Path(out_dir)
     sharp_files = sorted(
         p for p in sharp_dir.iterdir() if p.suffix.lower() in (".pgm", ".pfm")

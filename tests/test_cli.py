@@ -206,6 +206,9 @@ def test_malformed_config_json_is_rejected(tmp_path, capsys):
     ("label", {"store_patches": 1}, [], None),
     ("synthesize", {"sigma": "abc"}, [], None),
     ("synthesize", {"seed": None}, [], None),
+    ("synthesize", {"out_dir": None}, [], None),
+    ("label", {"manifest": None}, [], None),
+    ("label", {"store_patches": None}, [], None),
 ])
 def test_option_values_go_through_their_converter(tmp_path, capsys, command, config, flags,
                                                   expected):
@@ -234,6 +237,7 @@ def test_non_positive_jobs_are_rejected(pipeline, tmp_path, capsys, jobs):
     ])
     assert code == EXIT_VALIDATION
     assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_required_option(capsys):
@@ -263,6 +267,30 @@ def test_corrupt_model_file_is_a_format_error(tmp_path, capsys):
     write_image(flat_patch(32, 0.5), image)
     assert main(["select", "--model", str(bad), "--image", str(image)]) == EXIT_FORMAT
     capsys.readouterr()
+
+
+_DATASET_HEAD = '"threshold": 0.5, "estimator_fingerprint": "x", "storage": "index"'
+
+
+@pytest.mark.parametrize("command, text", [
+    ("label", '{"entries": ['),
+    ("label", '[1, 2]'),
+    ("label", '{"master_seed": 1}'),
+    ("label", '{"entries": [{"sharp_path": "a.pgm"}]}'),
+    ("label", '{"entries": [7]}'),
+    ("train", '{"samples": ['),
+    ("train", '"samples"'),
+    ("train", '{' + _DATASET_HEAD + '}'),
+    ("train", '{"samples": []}'),
+    ("train", '{' + _DATASET_HEAD + ', "samples": [{"image_id": "a", "image_index": 0}]}'),
+    ("train", '{' + _DATASET_HEAD + ', "samples": ["row"]}'),
+])
+def test_malformed_manifest_or_dataset_is_a_format_error(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    flag = {"label": "--manifest", "train": "--dataset"}[command]
+    assert main([command, flag, str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_FORMAT
+    assert str(path) in capsys.readouterr().err
 
 
 def test_even_kernel_size_is_a_validation_error(pipeline, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from regiondeblur.demodata import random_motion_kernel, textured_scene
 from regiondeblur.errors import (
@@ -19,8 +20,18 @@ from regiondeblur.estimator import (
     solve_kernel,
     solve_latent,
 )
-from regiondeblur.imagecore import Image, Kernel, kernel_otf, write_image
+from regiondeblur.imagecore import (
+    BoundaryMode,
+    Image,
+    Kernel,
+    convolve_direct,
+    convolve_fft,
+    kernel_otf,
+    taper_window,
+    write_image,
+)
 from regiondeblur.kernelsim import kernel_similarity
+from regiondeblur.synthesis import NoiseModel, blur_image
 
 
 def test_config_rejects_even_kernel_size():
@@ -110,7 +121,7 @@ def test_solve_kernel_recovers_forward_model():
     latent = textured_scene(64, seed=6)
     true_k = random_motion_kernel(9, seed=7)
     otf = kernel_otf(true_k.weights, latent.shape)
-    blurred = np.fft.ifft2(np.fft.fft2(latent.pixels) * otf).real
+    blurred = np.fft.irfft2(np.fft.rfft2(latent.pixels) * otf, s=latent.shape)
     k = solve_kernel(_circular_diff(latent.pixels), _circular_diff(blurred), 9)
     assert kernel_similarity(k, true_k).value >= 0.9
 
@@ -142,7 +153,7 @@ def test_solve_latent_sharpens_blurred_texture():
     sharp = textured_scene(96, seed=8)
     k = random_motion_kernel(11, seed=9)
     otf = kernel_otf(k.weights, sharp.shape)
-    blurred = Image(np.clip(np.fft.ifft2(np.fft.fft2(sharp.pixels) * otf).real, 0, 1))
+    blurred = Image(np.clip(np.fft.irfft2(np.fft.rfft2(sharp.pixels) * otf, s=sharp.shape), 0, 1))
     restored = solve_latent(blurred, k)
     interior = slice(12, -12)
     err_restored = np.mean(np.abs(restored.pixels[interior, interior] - sharp.pixels[interior, interior]))
@@ -154,6 +165,110 @@ def test_solve_latent_rejects_non_positive_reg():
     img = Image(np.full((16, 16), 0.5))
     with pytest.raises(ValidationError):
         solve_latent(img, Kernel.delta(1), reg=0.0)
+
+
+# The full-spectrum formulation the half-spectrum solves must reproduce:
+# complex fft2/ifft2 everywhere, and the edge taper as a valid convolution
+# of the wrap-padded image.
+
+def _full_otf(weights, shape):
+    arr = np.asarray(weights, dtype=np.float64)
+    big = np.zeros(shape)
+    big[:arr.shape[0], :arr.shape[1]] = arr
+    big = np.roll(big, (-(arr.shape[0] // 2), -(arr.shape[1] // 2)), axis=(0, 1))
+    return np.fft.fft2(big)
+
+
+def _solve_latent_fft2(pixels, k, reg):
+    ph, pw = k.side_h // 2, k.side_w // 2
+    tapered = pixels
+    if ph or pw:
+        blurred = convolve_fft(Image(pixels), k, BoundaryMode.PERIODIC).pixels
+        w2 = taper_window(pixels.shape, (ph, pw))
+        tapered = w2 * pixels + (1.0 - w2) * blurred
+    shape = pixels.shape
+    otf = _full_otf(k.weights, shape)
+    dx = _full_otf([[1.0, -1.0]], shape) if shape[1] > 1 else 0.0
+    dy = _full_otf([[1.0], [-1.0]], shape) if shape[0] > 1 else 0.0
+    denominator = np.abs(otf) ** 2 + reg * (np.abs(dx) ** 2 + np.abs(dy) ** 2)
+    return np.fft.ifft2(np.conj(otf) * np.fft.fft2(tapered) / denominator).real
+
+
+def _solve_kernel_fft2(grad_latent, grad_blurred, size, reg):
+    fx_s, fy_s = (np.fft.fft2(g) for g in grad_latent)
+    fx_b, fy_b = (np.fft.fft2(g) for g in grad_blurred)
+    numerator = np.conj(fx_s) * fx_b + np.conj(fy_s) * fy_b
+    full = np.fft.ifft2(numerator / (np.abs(fx_s) ** 2 + np.abs(fy_s) ** 2 + reg)).real
+    half = size // 2
+    return project_kernel(np.roll(full, (half, half), axis=(0, 1))[:size, :size])
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (40, 37), (37, 42), (33, 33)])
+@pytest.mark.parametrize("kernel_shape", [(1, 1), (3, 5), (5, 3), (9, 9)])
+def test_solve_latent_matches_the_full_spectrum_solve(shape, kernel_shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1] + kernel_shape[0])
+    pixels = rng.uniform(0, 1, shape)
+    weights = rng.uniform(0, 1, kernel_shape)
+    k = Kernel(weights / weights.sum())
+    for reg in (2e-3, 0.5):
+        latent = solve_latent(Image(pixels), k, reg).pixels
+        assert latent.shape == shape
+        assert np.max(np.abs(latent - _solve_latent_fft2(pixels, k, reg))) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (48, 45), (45, 50)])
+@pytest.mark.parametrize("size", [5, 9])
+def test_solve_kernel_matches_the_full_spectrum_solve(shape, size):
+    latent = textured_scene(64, seed=shape[1] + size).pixels[:shape[0], :shape[1]]
+    true_k = random_motion_kernel(size, seed=shape[0] + size)
+    blurred = convolve_direct(Image(latent), true_k, BoundaryMode.PERIODIC).pixels
+    grad_latent = _circular_diff(latent)
+    grad_blurred = _circular_diff(blurred)
+    for reg in (5.0, 0.01):
+        got = solve_kernel(grad_latent, grad_blurred, size, reg).weights
+        expected = _solve_kernel_fft2(grad_latent, grad_blurred, size, reg).weights
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+_TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+               "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """Count every numpy.fft / scipy.fft transform the code under test makes."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (np.fft, scipy.fft):
+        for name in _TRANSFORMS:
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    return calls
+
+
+def _blurred_patch(seed):
+    sharp = textured_scene(64, seed=seed)
+    return blur_image(sharp, random_motion_kernel(15, seed=seed + 1), NoiseModel(sigma=1.0, seed=seed))
+
+
+def test_solve_latent_makes_at_most_five_transforms(transform_calls):
+    img = _blurred_patch(30)
+    solve_latent(img, random_motion_kernel(15, seed=32))
+    assert len(transform_calls) <= 5
+
+
+def test_estimate_kernel_fft_budget(transform_calls):
+    """64 px patch at k=15: 357 transforms with complex FFTs and a separate
+    edge-taper convolution, 270 with the half-spectrum solves."""
+    img = _blurred_patch(33)
+    estimate = estimate_kernel(img, EstimatorConfig(kernel_size=15))
+    assert not estimate.degenerate
+    assert len(transform_calls) <= 270
 
 
 def test_estimate_kernel_flat_image_degenerates_to_delta():

@@ -20,6 +20,7 @@ from regiondeblur.imagecore import (
     read_kernel,
     resample,
     rgb_to_gray,
+    taper_window,
     write_kernel,
 )
 
@@ -164,6 +165,19 @@ def test_edge_taper_preprocess_keeps_interior():
     tapered = edge_taper(img, k)
     assert tapered.shape == img.shape
     assert np.array_equal(tapered.pixels[10:-10, 10:-10], img.pixels[10:-10, 10:-10])
+
+
+@pytest.mark.parametrize("kernel_shape", [(3, 5), (5, 3), (7, 7)])
+@pytest.mark.parametrize("shape", [(36, 36), (36, 35), (35, 38)])
+def test_edge_taper_matches_the_wrap_padded_convolution(shape, kernel_shape):
+    rng = np.random.default_rng(shape[1] * 10 + kernel_shape[1])
+    pixels = rng.uniform(0, 1, shape)
+    weights = rng.uniform(0, 1, kernel_shape)
+    k = Kernel(weights / weights.sum())
+    blurred = convolve_fft(Image(pixels), k, BoundaryMode.PERIODIC).pixels
+    w2 = taper_window(shape, (kernel_shape[0] // 2, kernel_shape[1] // 2))
+    expected = w2 * pixels + (1.0 - w2) * blurred
+    assert np.max(np.abs(edge_taper(Image(pixels), k).pixels - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regiondeblur.demodata import random_motion_kernel
@@ -123,3 +125,88 @@ def test_label_config_rejects_degenerate_thresholds():
         LabelConfig(threshold=0.0)
     with pytest.raises(ValidationError):
         LabelConfig(threshold=1.0)
+
+
+def _reference_similarity(k_est, k_true) -> float:
+    """The original double loop: math.fsum over every shift."""
+    a = np.asarray(k_est.weights if isinstance(k_est, Kernel) else k_est, dtype=np.float64)
+    b = np.asarray(k_true.weights if isinstance(k_true, Kernel) else k_true, dtype=np.float64)
+
+    def exact(values):
+        return math.fsum(values[values != 0.0].tolist())
+
+    sq_a, sq_b = exact(a * a), exact(b * b)
+    if sq_a == 0.0 or sq_b == 0.0:
+        raise ValidationError("cannot score an all-zero kernel")
+    if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
+        a, b = b, a
+        sq_a, sq_b = sq_b, sq_a
+    ha, wa = a.shape
+    hb, wb = b.shape
+    canvas = np.zeros((hb + 2 * (ha - 1), wb + 2 * (wa - 1)))
+    canvas[ha - 1:ha - 1 + hb, wa - 1:wa - 1 + wb] = b
+    best = 0.0
+    for i in range(hb + ha - 1):
+        for j in range(wb + wa - 1):
+            s = exact(a * canvas[i:i + ha, j:j + wa])
+            if s > best:
+                best = s
+    return min(1.0, best / math.sqrt(sq_a * sq_b))
+
+
+# Few distinct values make sparse kernels and shifts that tie exactly; terms
+# an ulp apart make shifts whose float sums order differently from their
+# exact sums.
+_ULP = 2.0 ** -52
+_CELL = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.0, 1.0, 0.5, 1.0 / 3.0, 0.1, 1e-3]),
+    st.sampled_from([1.0 + _ULP, _ULP, 0.5 * _ULP, 0.75 * _ULP]),
+    st.floats(0.0, 1.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def _weights(draw):
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    cells = draw(st.lists(_CELL, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    arr = np.array(cells).reshape(shape)
+    if not np.any(arr):
+        arr[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = 1.0
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weights(), _weights())
+def test_similarity_is_bit_identical_to_the_double_loop(a, b):
+    try:
+        expected = _reference_similarity(a, b)
+    except ValidationError:  # a square sum that underflows to zero
+        with pytest.raises(ValidationError):
+            kernel_similarity(a, b)
+        return
+    assert kernel_similarity(a, b).value == expected
+    assert kernel_similarity(b, a).value == expected
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.ones((1, 1)), np.ones((1, 1))),
+    (np.ones((1, 1)), np.full((3, 5), 0.5)),
+    (np.full((5, 3), 0.2), np.full((3, 5), 0.2)),
+    (np.eye(7), np.eye(7)[::-1]),
+    (np.eye(9), np.ones((1, 9))),
+    # The float maximum is not at the shift with the largest exact sum.
+    (np.array([[0.5 * _ULP, 0.5 * _ULP, 1.0 + _ULP, 0.75 * _ULP]]),
+     np.array([[1.0, 0.75 * _ULP, 1.0, 1.0 + _ULP, 0.0]])),
+    (np.array([[1.0 + _ULP, 0.0, 0.75 * _ULP, 0.5 * _ULP]]),
+     np.array([[1.0 + _ULP, 1.0, 0.5 * _ULP, 1.0, 1.0 + _ULP]])),
+])
+def test_similarity_matches_the_double_loop_on_tied_shifts(a, b):
+    assert kernel_similarity(a, b).value == _reference_similarity(a, b)
+    assert kernel_similarity(b, a).value == _reference_similarity(b, a)
+
+
+def test_motion_kernels_match_the_double_loop():
+    for seed in range(20):
+        a = random_motion_kernel(15, seed=seed)
+        b = random_motion_kernel((11, 13, 15)[seed % 3], seed=seed + 100)
+        assert kernel_similarity(a, b).value == _reference_similarity(a, b)
