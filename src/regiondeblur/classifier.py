@@ -7,6 +7,10 @@ whose scalar logit passes through a sigmoid. Patches are standardized to zero
 mean and unit variance per sample before the stem. Training is plain SGD with
 classical momentum; gradients come from a hand-written reverse pass.
 
+`_LAYER_TYPES` is the only list of layer types: each `_Layer` subclass
+declares its header descriptor and its output shape, and a `Network` accepts
+no other layer, so nothing downsamples by windowed pooling.
+
 Models serialize to a self-describing container: magic bytes, a format
 version, a JSON layer-descriptor header carrying a SHA-256 payload checksum,
 and the little-endian float64 parameters.
@@ -24,11 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ModelFormatError, ValidationError
+from .errors import DimensionError, ModelFormatError, ParseError, ValidationError
 from .imagecore import Image
+from .synthesis import typed_fields
 
 MODEL_MAGIC = b"PATCHNET"
 MODEL_VERSION = 1
+_HEADER_TYPES = {"input_side": (int,), "standardize": (bool,), "layers": (list,),
+                 "param_count": (int,), "sha256": (str,)}
 _LOGIT_CAP = 35.0
 _STANDARDIZE_EPS = 1e-8
 
@@ -64,8 +71,48 @@ def _col2im(dcols: np.ndarray, padded_shape, k: int, stride: int, oh: int, ow: i
     return dpadded
 
 
-class Conv2d:
+class _Layer:
+    """One CNN layer type: ``kind`` names it in the model header and ``fields``
+    lists its constructor arguments in constructor order."""
+
+    kind: str
+    fields: tuple[str, ...] = ()
+
+    def descriptor(self) -> dict:
+        return {"type": self.kind, **{name: getattr(self, name) for name in self.fields}}
+
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        return shape
+
+    def parameters(self) -> list[np.ndarray]:
+        return []
+
+    def gradients(self) -> list[np.ndarray]:
+        return []
+
+
+class _WeightBias(_Layer):
+    """A layer whose parameters are one weight array and one bias vector."""
+
+    def _init_parameters(self, shape: tuple[int, ...], n_out: int, scale: float,
+                         rng: np.random.Generator | None) -> None:
+        self.weight = np.zeros(shape) if rng is None else rng.normal(0.0, scale, shape)
+        self.bias = np.zeros(n_out)
+        self.grad_weight = np.zeros_like(self.weight)
+        self.grad_bias = np.zeros_like(self.bias)
+
+    def parameters(self) -> list[np.ndarray]:
+        return [self.weight, self.bias]
+
+    def gradients(self) -> list[np.ndarray]:
+        return [self.grad_weight, self.grad_bias]
+
+
+class Conv2d(_WeightBias):
     """Strided 2-D convolution layer with same-style padding (kernel_size // 2)."""
+
+    kind = "conv"
+    fields = ("in_channels", "out_channels", "kernel_size", "stride")
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, rng: np.random.Generator | None = None):
@@ -79,14 +126,8 @@ class Conv2d:
         self.stride = stride
         self.pad = kernel_size // 2
         fan_in = in_channels * kernel_size * kernel_size
-        scale = math.sqrt(2.0 / fan_in)
-        if rng is None:
-            self.weight = np.zeros((out_channels, in_channels, kernel_size, kernel_size))
-        else:
-            self.weight = rng.normal(0.0, scale, (out_channels, in_channels, kernel_size, kernel_size))
-        self.bias = np.zeros(out_channels)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
+        self._init_parameters((out_channels, in_channels, kernel_size, kernel_size),
+                              out_channels, math.sqrt(2.0 / fan_in), rng)
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         oh = (h + 2 * self.pad - self.kernel_size) // self.stride + 1
@@ -94,6 +135,15 @@ class Conv2d:
         if oh < 1 or ow < 1:
             raise DimensionError(f"conv collapses {h}x{w} input to nothing")
         return oh, ow
+
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(shape) != 3:
+            raise ValidationError("convolution after pooling is not supported")
+        if shape[0] != self.in_channels:
+            raise ValidationError(
+                f"layer expects {self.in_channels} channels, pipeline carries {shape[0]}"
+            )
+        return (self.out_channels, *self.out_hw(shape[1], shape[2]))
 
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         n, c, h, w = x.shape
@@ -122,23 +172,10 @@ class Conv2d:
         p = self.pad
         return dpadded[:, :, p:padded_shape[2] - p, p:padded_shape[3] - p] if p else dpadded
 
-    def parameters(self):
-        return [self.weight, self.bias]
 
-    def gradients(self):
-        return [self.grad_weight, self.grad_bias]
+class ReLU(_Layer):
+    kind = "relu"
 
-    def descriptor(self) -> dict:
-        return {
-            "type": "conv",
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel_size": self.kernel_size,
-            "stride": self.stride,
-        }
-
-
-class ReLU:
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         out = np.maximum(x, 0.0)
         if tape is not None:
@@ -148,22 +185,16 @@ class ReLU:
     def backward(self, dout: np.ndarray, saved) -> np.ndarray:
         return dout * saved
 
-    def parameters(self):
-        return []
 
-    def gradients(self):
-        return []
-
-    def descriptor(self) -> dict:
-        return {"type": "relu"}
-
-
-class ResidualBlock:
+class ResidualBlock(_Layer):
     """conv3x3(stride) -> relu -> conv3x3 -> add shortcut -> relu.
 
     The shortcut is the identity when shapes allow, otherwise a 1x1
     stride-matched projection convolution.
     """
+
+    kind = "residual"
+    fields = ("in_channels", "out_channels", "stride")
 
     def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
                  rng: np.random.Generator | None = None):
@@ -177,8 +208,8 @@ class ResidualBlock:
         else:
             self.projection = None
 
-    def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        return self.conv2.out_hw(*self.conv1.out_hw(h, w))
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        return self.conv2.out_shape(self.conv1.out_shape(shape))
 
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         inner: list | None = [] if tape is not None else None
@@ -204,28 +235,24 @@ class ResidualBlock:
             dx = dx + ds
         return dx
 
-    def parameters(self):
-        params = self.conv1.parameters() + self.conv2.parameters()
-        if self.projection is not None:
-            params += self.projection.parameters()
-        return params
+    def _convs(self) -> list[Conv2d]:
+        return [c for c in (self.conv1, self.conv2, self.projection) if c is not None]
 
-    def gradients(self):
-        grads = self.conv1.gradients() + self.conv2.gradients()
-        if self.projection is not None:
-            grads += self.projection.gradients()
-        return grads
+    def parameters(self) -> list[np.ndarray]:
+        return [p for conv in self._convs() for p in conv.parameters()]
 
-    def descriptor(self) -> dict:
-        return {
-            "type": "residual",
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "stride": self.stride,
-        }
+    def gradients(self) -> list[np.ndarray]:
+        return [g for conv in self._convs() for g in conv.gradients()]
 
 
-class GlobalAveragePool:
+class GlobalAveragePool(_Layer):
+    kind = "global_average_pool"
+
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(shape) != 3:
+            raise ValidationError("global average pooling needs a (channels, height, width) input")
+        return shape[:1]
+
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         out = x.mean(axis=(2, 3))
         if tape is not None:
@@ -236,29 +263,26 @@ class GlobalAveragePool:
         n, c, h, w = saved
         return np.broadcast_to(dout[:, :, None, None], (n, c, h, w)) / (h * w)
 
-    def parameters(self):
-        return []
 
-    def gradients(self):
-        return []
+class Dense(_WeightBias):
+    kind = "dense"
+    fields = ("in_features", "out_features")
 
-    def descriptor(self) -> dict:
-        return {"type": "global_average_pool"}
-
-
-class Dense:
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None):
         self.in_features = in_features
         self.out_features = out_features
-        scale = math.sqrt(1.0 / in_features)
-        if rng is None:
-            self.weight = np.zeros((in_features, out_features))
-        else:
-            self.weight = rng.normal(0.0, scale, (in_features, out_features))
-        self.bias = np.zeros(out_features)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
+        self._init_parameters((in_features, out_features), out_features,
+                              math.sqrt(1.0 / in_features), rng)
+
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(shape) != 1:
+            raise ValidationError("dense head requires global average pooling first")
+        if shape[0] != self.in_features:
+            raise ValidationError(
+                f"dense expects {self.in_features} features, pipeline carries {shape[0]}"
+            )
+        return (self.out_features,)
 
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -273,14 +297,8 @@ class Dense:
         self.grad_bias += dout.sum(axis=0)
         return dout @ self.weight.T
 
-    def parameters(self):
-        return [self.weight, self.bias]
 
-    def gradients(self):
-        return [self.grad_weight, self.grad_bias]
-
-    def descriptor(self) -> dict:
-        return {"type": "dense", "in_features": self.in_features, "out_features": self.out_features}
+_LAYER_TYPES = {cls.kind: cls for cls in (Conv2d, ReLU, ResidualBlock, GlobalAveragePool, Dense)}
 
 
 # ---------------------------------------------------------------------------
@@ -298,58 +316,19 @@ class Network:
     def _validate_shapes(self) -> None:
         if self.input_side < 1:
             raise ValidationError(f"input_side must be positive, got {self.input_side}")
-        c, h, w = 1, self.input_side, self.input_side
-        pooled = False
-        features = None
+        shape = (1, self.input_side, self.input_side)
         for layer in self.layers:
-            if isinstance(layer, (Conv2d, ResidualBlock)):
-                if pooled:
-                    raise ValidationError("convolution after pooling is not supported")
-                if layer.in_channels != c:
-                    raise ValidationError(
-                        f"layer expects {layer.in_channels} channels, pipeline carries {c}"
-                    )
-                h, w = layer.out_hw(h, w)
-                c = layer.out_channels
-            elif isinstance(layer, ReLU):
-                continue
-            elif isinstance(layer, GlobalAveragePool):
-                pooled = True
-                features = c
-            elif isinstance(layer, Dense):
-                if not pooled:
-                    raise ValidationError("dense head requires global average pooling first")
-                if layer.in_features != features:
-                    raise ValidationError(
-                        f"dense expects {layer.in_features} features, pipeline carries {features}"
-                    )
-                features = layer.out_features
-            else:
+            if type(layer) not in _LAYER_TYPES.values():
                 raise ValidationError(f"unsupported layer type {type(layer).__name__}")
-        if features != 1:
-            raise ValidationError(f"network must end in a single logit, got {features}")
-
-    def assert_stride_only_downsampling(self) -> None:
-        """Structural check: no windowed pooling layers anywhere in the stack."""
-        allowed = (Conv2d, ReLU, ResidualBlock, GlobalAveragePool, Dense)
-        for layer in self.layers:
-            if not isinstance(layer, allowed):
-                raise ValidationError(f"unexpected layer type {type(layer).__name__}")
-            name = type(layer).__name__.lower()
-            if "pool" in name and not isinstance(layer, GlobalAveragePool):
-                raise ValidationError(f"windowed pooling layer {name} is not allowed")
+            shape = layer.out_shape(shape)
+        if shape != (1,):
+            raise ValidationError(f"network must end in a single logit, got output shape {shape}")
 
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
+        return [p for layer in self.layers for p in layer.parameters()]
 
     def gradients(self) -> list[np.ndarray]:
-        grads = []
-        for layer in self.layers:
-            grads.extend(layer.gradients())
-        return grads
+        return [g for layer in self.layers for g in layer.gradients()]
 
     def zero_gradients(self) -> None:
         for g in self.gradients():
@@ -410,19 +389,18 @@ def build_small_resnet(seed: int = 0, input_side: int = 228, *, standardize: boo
     return Network(layers, input_side=input_side, standardize=standardize)
 
 
-def _layer_from_descriptor(desc: dict):
-    kind = desc.get("type")
-    if kind == "conv":
-        return Conv2d(desc["in_channels"], desc["out_channels"], desc["kernel_size"], desc["stride"])
-    if kind == "relu":
-        return ReLU()
-    if kind == "residual":
-        return ResidualBlock(desc["in_channels"], desc["out_channels"], desc["stride"])
-    if kind == "global_average_pool":
-        return GlobalAveragePool()
-    if kind == "dense":
-        return Dense(desc["in_features"], desc["out_features"])
-    raise ModelFormatError(f"unknown layer descriptor type {kind!r}")
+def _layer_from_descriptor(desc) -> _Layer:
+    """The layer of a descriptor holding exactly `type` and positive-int `fields`."""
+    kind = desc.get("type") if isinstance(desc, dict) else None
+    cls = _LAYER_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ModelFormatError(f"unknown layer descriptor {desc!r}")
+    if set(desc) != {"type", *cls.fields}:
+        raise ModelFormatError(f"{kind} descriptor needs exactly the fields {cls.fields}, got {desc!r}")
+    args = [desc[name] for name in cls.fields]
+    if not all(type(a) is int and a >= 1 for a in args):
+        raise ModelFormatError(f"{kind} descriptor fields must be positive integers, got {desc!r}")
+    return cls(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -608,20 +586,19 @@ def load_model(path) -> Network:
         header = json.loads(data[pos:pos + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"unreadable model header in {path}: {exc}") from None
-    pos += header_len
-    payload = data[pos:]
-    expected = header.get("param_count", 0) * 8
-    if len(payload) != expected:
-        raise ModelFormatError(
-            f"model payload is {len(payload)} bytes, expected {expected} in {path}"
-        )
-    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-        raise ModelFormatError(f"model checksum mismatch in {path}")
-    layers = [_layer_from_descriptor(d) for d in header.get("layers", [])]
     try:
-        net = Network(layers, input_side=header["input_side"], standardize=header.get("standardize", True))
-    except (KeyError, ValidationError) as exc:
+        header = typed_fields(header, _HEADER_TYPES, "model header")
+        layers = [_layer_from_descriptor(d) for d in header["layers"]]
+        net = Network(layers, input_side=header["input_side"], standardize=header["standardize"])
+    except (ParseError, ModelFormatError, ValidationError) as exc:
         raise ModelFormatError(f"inconsistent model header in {path}: {exc}") from None
+    count = sum(p.size for p in net.parameters())
+    payload = data[pos + header_len:]
+    if header["param_count"] != count or len(payload) != 8 * count:
+        raise ModelFormatError(f"model payload or param_count in {path} does not match "
+                               f"the {count} parameters of its layers")
+    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+        raise ModelFormatError(f"model checksum mismatch in {path}")
     offset = 0
     for p in net.parameters():
         nbytes = p.size * 8

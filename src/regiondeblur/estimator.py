@@ -269,9 +269,10 @@ def estimate_kernel(blurred: Image, cfg: EstimatorConfig) -> KernelEstimate:
             current = Kernel.delta(level.kernel_size)
         else:
             current = _upsample_kernel(kernel, level.kernel_size)
-            latent = Image(np.clip(solve_latent(level.image, current, cfg.latent_reg).pixels, 0.0, 1.0))
         solved = False
-        for _ in range(cfg.iterations_per_level):
+        for iteration in range(cfg.iterations_per_level):
+            if kernel is not None or iteration > 0:
+                latent = Image(np.clip(solve_latent(level.image, current, cfg.latent_reg).pixels, 0.0, 1.0))
             gx_s, gy_s = predict_gradients(latent, cfg)
             gx_s, gy_s = gx_s * window, gy_s * window
             try:
@@ -279,7 +280,6 @@ def estimate_kernel(blurred: Image, cfg: EstimatorConfig) -> KernelEstimate:
                 solved = True
             except DegenerateInputError:
                 pass
-            latent = Image(np.clip(solve_latent(level.image, current, cfg.latent_reg).pixels, 0.0, 1.0))
         if level_index == 0 and not solved:
             delta = Kernel.delta(cfg.kernel_size)
             return KernelEstimate(kernel=delta, degenerate=True, per_level=(Kernel.delta(level.kernel_size),))

@@ -172,9 +172,7 @@ def _center_ref(image: Image, size: int) -> PatchRef:
 
 def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
                       est_cfg: EstimatorConfig, *, net=None,
-                      methods=EVAL_METHODS, master_seed: int = 0,
-                      match_kernel_size: bool = True,
-                      latent_reg: float = 2e-3) -> list[EvalRecord]:
+                      methods=EVAL_METHODS, master_seed: int = 0) -> list[EvalRecord]:
     """Benchmark kernel estimation from differently chosen regions.
 
     Methods: ``top`` (best patch by classifier score), ``random`` (seeded
@@ -197,18 +195,16 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
         blurred = read_image(manifest.resolve(entry.blurred_path))
         sharp = read_image(manifest.resolve(entry.sharp_path))
         true_kernel = read_kernel(manifest.resolve(entry.kernel_path))
-        cfg = est_cfg
-        if match_kernel_size and cfg.kernel_size != true_kernel.side_h:
-            cfg = replace(cfg, kernel_size=true_kernel.side_h)
+        cfg = replace(est_cfg, kernel_size=true_kernel.side_h)
         margin = true_kernel.side_h // 2
-        baseline = _clipped(solve_latent(blurred, true_kernel, latent_reg))
+        baseline = _clipped(solve_latent(blurred, true_kernel, cfg.latent_reg))
         baseline = align_to_reference(baseline, sharp, margin, margin)
 
         for method in methods:
             try:
                 records.append(_run_method(
                     method, image_id, index, blurred, sharp, true_kernel,
-                    baseline, grid, cfg, net, master_seed, margin, latent_reg,
+                    baseline, grid, cfg, net, master_seed, margin,
                 ))
             except RegionDeblurError as exc:
                 records.append(EvalRecord(
@@ -221,7 +217,7 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
 
 
 def _run_method(method, image_id, index, blurred, sharp, true_kernel,
-                baseline, grid, cfg, net, master_seed, margin, latent_reg) -> EvalRecord:
+                baseline, grid, cfg, net, master_seed, margin) -> EvalRecord:
     patch_row = patch_col = None
     if method == "gt":
         ratio = error_ratio(baseline, sharp, baseline, margin)
@@ -243,7 +239,7 @@ def _run_method(method, image_id, index, blurred, sharp, true_kernel,
         patch_row, patch_col = ref.row0, ref.col0
         estimate = estimate_kernel(extract(blurred, ref), cfg)
 
-    recovered = _clipped(solve_latent(blurred, estimate.kernel, latent_reg))
+    recovered = _clipped(solve_latent(blurred, estimate.kernel, cfg.latent_reg))
     recovered = align_to_reference(recovered, sharp, margin, margin)
     ratio = error_ratio(recovered, sharp, baseline, margin)
     sim = kernel_similarity(estimate.kernel, true_kernel).value

@@ -32,7 +32,6 @@ class BoundaryMode(str, enum.Enum):
 
     REPLICATE = "replicate"
     PERIODIC = "periodic"
-    EDGE_TAPER = "edge-taper"
 
 
 def _as_float_matrix(values, what: str) -> np.ndarray:
@@ -123,17 +122,6 @@ def _pad_extend(arr: np.ndarray, pad_h: int, pad_w: int, mode: BoundaryMode) -> 
         return np.pad(arr, pads, mode="edge")
     if mode is BoundaryMode.PERIODIC:
         return np.pad(arr, pads, mode="wrap")
-    if mode is BoundaryMode.EDGE_TAPER:
-        rep = np.pad(arr, pads, mode="edge")
-        per = np.pad(arr, pads, mode="wrap")
-        h, w = arr.shape
-        rows = np.arange(-pad_h, h + pad_h, dtype=np.float64)
-        cols = np.arange(-pad_w, w + pad_w, dtype=np.float64)
-        dr = np.maximum(0.0, np.maximum(-rows, rows - (h - 1))) / max(pad_h, 1)
-        dc = np.maximum(0.0, np.maximum(-cols, cols - (w - 1))) / max(pad_w, 1)
-        t = np.maximum(dr[:, None], dc[None, :])
-        c = 0.5 * (1.0 - np.cos(np.pi * np.clip(t, 0.0, 1.0)))
-        return (1.0 - c) * rep + c * per
     raise ValidationError(f"unknown boundary mode {mode!r}")
 
 

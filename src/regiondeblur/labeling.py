@@ -30,11 +30,18 @@ from .synthesis import (
     extract,
     map_jobs,
     patch_grid,
-    read_json_object,
+    read_json,
+    typed_fields,
 )
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
+
+_DATASET_TYPES = {"samples": (list,), "threshold": (int, float), "estimator_fingerprint": (str,),
+                  "storage": (str,), "manifest_path": (str, type(None))}
+_ROW_TYPES = {"image_id": (str,), "image_index": (int,), "row0": (int,), "col0": (int,),
+              "size": (int,), "similarity": (int, float), "label": (int,), "status": (str,),
+              "patch_path": (str, type(None))}
 
 
 @dataclass(frozen=True)
@@ -71,18 +78,10 @@ class LabeledDataset:
     def to_dict(self) -> dict:
         rows = []
         for s in self.samples:
-            row = {
-                "image_id": s.image_id,
-                "image_index": s.image_index,
-                "row0": s.ref.row0,
-                "col0": s.ref.col0,
-                "size": s.ref.size,
-                "similarity": s.similarity,
-                "label": s.label,
-                "status": s.status,
-            }
-            if s.patch_path is not None:
-                row["patch_path"] = s.patch_path
+            row = asdict(s)
+            row.update(row.pop("ref"))
+            if s.patch_path is None:
+                del row["patch_path"]
             rows.append(row)
         return {
             "threshold": self.threshold,
@@ -100,30 +99,20 @@ class LabeledDataset:
     @staticmethod
     def load(path) -> "LabeledDataset":
         path = Path(path)
-        raw = read_json_object(path, "dataset")
-        try:
-            samples = tuple(
-                LabeledSample(
-                    image_id=row["image_id"],
-                    image_index=row["image_index"],
-                    ref=PatchRef(row["row0"], row["col0"], row["size"]),
-                    similarity=row["similarity"],
-                    label=row["label"],
-                    status=row["status"],
-                    patch_path=row.get("patch_path"),
-                )
-                for row in raw["samples"]
-            )
-            return LabeledDataset(
-                samples=samples,
-                threshold=raw["threshold"],
-                estimator_fingerprint=raw["estimator_fingerprint"],
-                storage=raw["storage"],
-                manifest_path=raw.get("manifest_path"),
-                base_dir=path.parent,
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"dataset {path} lacks a field or has a malformed row: {exc}") from exc
+        raw = typed_fields(read_json(path, "dataset"), _DATASET_TYPES, f"dataset {path}")
+        samples = []
+        for i, row in enumerate(raw["samples"]):
+            row = typed_fields(row, _ROW_TYPES, f"dataset {path} row {i}")
+            ref = PatchRef(row.pop("row0"), row.pop("col0"), row.pop("size"))
+            samples.append(LabeledSample(ref=ref, **row))
+        return LabeledDataset(
+            samples=tuple(samples),
+            threshold=raw["threshold"],
+            estimator_fingerprint=raw["estimator_fingerprint"],
+            storage=raw["storage"],
+            manifest_path=raw["manifest_path"],
+            base_dir=path.parent,
+        )
 
 
 def estimator_fingerprint(cfg: EstimatorConfig) -> str:
@@ -133,11 +122,10 @@ def estimator_fingerprint(cfg: EstimatorConfig) -> str:
 
 def _label_one_image(task):
     """Worker: similarity of every grid patch of one blurred image."""
-    blurred_path, kernel_path, grid, estimator, match = task
+    blurred_path, kernel_path, grid, estimator = task
     blurred = read_image(blurred_path)
     true_kernel = read_kernel(kernel_path)
-    if match:
-        estimator = estimator.with_kernel_size(true_kernel.side_h)
+    estimator = estimator.with_kernel_size(true_kernel.side_h)
     rows = []
     for ref in patch_grid(blurred, grid):
         estimate = estimator(extract(blurred, ref))
@@ -152,7 +140,7 @@ def _label_one_image(task):
 def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
                   est_cfg: EstimatorConfig, label_cfg: LabelConfig,
                   out_dir=None, *, store_patches: bool = False, jobs: int = 1,
-                  estimator=None, match_kernel_size: bool = True) -> LabeledDataset:
+                  estimator=None) -> LabeledDataset:
     """Label every patch of every corpus image against its true kernel.
 
     Images are labeled in ``jobs`` worker processes (``jobs`` must be >= 1;
@@ -167,8 +155,7 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
         raise ValidationError("store_patches requires an output directory")
     worker_estimator = BlindEstimator(est_cfg) if estimator is None else estimator
     tasks = [
-        (manifest.resolve(e.blurred_path), manifest.resolve(e.kernel_path), grid,
-         worker_estimator, match_kernel_size)
+        (manifest.resolve(e.blurred_path), manifest.resolve(e.kernel_path), grid, worker_estimator)
         for e in manifest.entries
     ]
     results = map_jobs(_label_one_image, tasks, jobs)
@@ -278,6 +265,9 @@ def load_training_samples(dataset: LabeledDataset, manifest: CorpusManifest | No
     cache: dict[int, object] = {}
     for s in dataset.samples:
         if s.image_index not in cache:
+            if not 0 <= s.image_index < len(manifest.entries):
+                raise ParseError(f"dataset in {base} names image {s.image_index}, but the manifest "
+                                 f"in {manifest.base_dir} has {len(manifest.entries)} entries")
             entry = manifest.entries[s.image_index]
             cache[s.image_index] = read_image(manifest.resolve(entry.blurred_path))
         patch = extract(cache[s.image_index], s.ref)

@@ -89,15 +89,31 @@ class PatchRef:
             raise ValidationError(f"patch size must be positive, got {self.size}")
 
 
-def read_json_object(path: Path, what: str) -> dict:
-    """Decode a JSON file that must hold an object; anything else is a ParseError."""
+def read_json(path: Path, what: str):
+    """Decode a JSON file; anything that is not JSON is a ParseError."""
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"{what} {path} must hold a JSON object")
-    return raw
+
+
+def typed_fields(record, types: dict[str, tuple[type, ...]], what: str) -> dict:
+    """The named fields of a decoded JSON object, each of one of its listed
+    types (a bool is no number); a field whose types include NoneType may be
+    absent. Anything else is a ParseError."""
+    if not isinstance(record, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(record).__name__}")
+    fields = {name: record.get(name) for name in types}
+    for name, value in fields.items():
+        kinds = types[name]
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            names = "/".join(kind.__name__ for kind in kinds)
+            raise ParseError(f"{what} needs {name!r} as {names}, got {value!r}")
+    return fields
+
+
+_ENTRY_TYPES = {"sharp_path": (str,), "kernel_path": (str,), "blurred_path": (str,),
+                "sigma": (int, float), "seed": (int,)}
 
 
 @dataclass(frozen=True)
@@ -135,11 +151,10 @@ class CorpusManifest:
     @staticmethod
     def load(path) -> "CorpusManifest":
         path = Path(path)
-        raw = read_json_object(path, "manifest")
-        try:
-            entries = [CorpusEntry(**e) for e in raw["entries"]]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"manifest {path} lacks a field or has a malformed entry: {exc}") from exc
+        raw = read_json(path, "manifest")
+        listed = typed_fields(raw, {"entries": (list,)}, f"manifest {path}")["entries"]
+        entries = [CorpusEntry(**typed_fields(e, _ENTRY_TYPES, f"manifest {path} entry {i}"))
+                   for i, e in enumerate(listed)]
         return CorpusManifest(
             entries=entries,
             master_seed=raw.get("master_seed", 0),

@@ -1,10 +1,19 @@
+import hashlib
+import json
+import struct
 import time
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from regiondeblur.classifier import TrainConfig, TrainingSample, build_small_resnet, train
+from regiondeblur.classifier import (
+    TrainConfig,
+    TrainingSample,
+    build_small_resnet,
+    save_model,
+    train,
+)
 from regiondeblur.demodata import (
     eval_scene,
     flat_patch,
@@ -108,3 +117,62 @@ def trained_model(acceptance_dataset):
     FIXTURE_SECONDS["trained_model"] = time.perf_counter() - t0
     return {"net": result.network, "epochs": result.epochs, "config": cfg,
             "train_set": train_set, "held_out": held_out}
+
+
+def _drop_stem_stride(header, payload):
+    del header["layers"][0]["stride"]
+    return header, payload
+
+
+def _string_kernel_size(header, payload):
+    header["layers"][0]["kernel_size"] = "7"
+    return header, payload
+
+
+def _even_kernel_size(header, payload):
+    header["layers"][0]["kernel_size"] = 8
+    return header, payload
+
+
+def _string_layers(header, payload):
+    header["layers"] = "conv"
+    return header, payload
+
+
+def _payload_short(header, payload):
+    header["param_count"] -= 1
+    return header, payload[:-8]
+
+
+def _payload_long(header, payload):
+    header["param_count"] += 1
+    return header, payload + bytes(8)
+
+
+# Each edit rewrites a valid model's header and payload; the checksum is
+# recomputed, so only the edit itself makes the model malformed.
+MALFORMED_MODEL_EDITS = {
+    "layer-field-missing": _drop_stem_stride,
+    "kernel-size-string": _string_kernel_size,
+    "header-is-list": lambda header, payload: ([header], payload),
+    "layers-is-string": _string_layers,
+    "even-kernel-size": _even_kernel_size,
+    "payload-8-bytes-short": _payload_short,
+    "payload-8-bytes-long": _payload_long,
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_MODEL_EDITS))
+def malformed_model(request, tmp_path):
+    """Path of a saved 16 px model whose header one edit made malformed."""
+    path = tmp_path / "model.bin"
+    save_model(build_small_resnet(seed=0, input_side=16), path)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", data, 12)
+    header = json.loads(data[20:20 + header_len])
+    header, payload = MALFORMED_MODEL_EDITS[request.param](header, data[20 + header_len:])
+    if isinstance(header, dict):
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob + payload)
+    return path

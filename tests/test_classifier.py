@@ -19,6 +19,9 @@ from regiondeblur.classifier import (
     save_model,
     train,
     write_training_log,
+    _Layer,
+    _LAYER_TYPES,
+    _layer_from_descriptor,
 )
 from regiondeblur.errors import DimensionError, ModelFormatError, ValidationError
 from regiondeblur.imagecore import Image
@@ -63,9 +66,35 @@ def test_default_architecture_shape():
         (16, 16, 2), (16, 32, 2), (32, 64, 2)]
 
 
+class MaxPool(_Layer):
+    """A windowed pooling layer that is not in the layer table."""
+
+    kind = "max_pool"
+
+    def out_shape(self, shape):
+        return (shape[0], shape[1] // 2, shape[2] // 2)
+
+
 def test_no_windowed_pooling_anywhere():
+    rng = np.random.default_rng(0)
+    layers = [Conv2d(1, 4, 3, 1, rng), MaxPool(), GlobalAveragePool(), Dense(4, 1, rng)]
+    with pytest.raises(ValidationError, match="MaxPool"):
+        Network(layers, input_side=16)
     net = build_small_resnet(seed=0, input_side=64)
-    net.assert_stride_only_downsampling()
+    assert all(type(layer) in _LAYER_TYPES.values() for layer in net.layers)
+
+
+_EXAMPLE_ARGS = {"conv": (3, 5, 3, 2), "relu": (), "residual": (4, 8, 2),
+                 "global_average_pool": (), "dense": (6, 2)}
+
+
+@pytest.mark.parametrize("kind", sorted(_LAYER_TYPES))
+def test_layer_descriptor_round_trip(kind):
+    layer = _LAYER_TYPES[kind](*_EXAMPLE_ARGS[kind])
+    rebuilt = _layer_from_descriptor(layer.descriptor())
+    assert type(rebuilt) is type(layer)
+    assert rebuilt.descriptor() == layer.descriptor()
+    assert [p.shape for p in rebuilt.parameters()] == [p.shape for p in layer.parameters()]
 
 
 def test_network_rejects_channel_mismatch():
@@ -385,3 +414,8 @@ def test_load_rejects_truncated_file(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def test_load_rejects_malformed_header(malformed_model):
+    with pytest.raises(ModelFormatError):
+        load_model(malformed_model)

@@ -269,7 +269,23 @@ def test_corrupt_model_file_is_a_format_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_model_header_is_a_format_error(malformed_model, tmp_path, capsys):
+    image = tmp_path / "img.pgm"
+    write_image(flat_patch(32, 0.5), image)
+    assert main(["select", "--model", str(malformed_model), "--image", str(image)]) == EXIT_FORMAT
+    assert str(malformed_model) in capsys.readouterr().err
+
+
 _DATASET_HEAD = '"threshold": 0.5, "estimator_fingerprint": "x", "storage": "index"'
+_ENTRY = '{"sharp_path": "a.pgm", "kernel_path": "k.txt", "blurred_path": "b.pfm", "sigma": 1, "seed": 0}'
+_ROW = ('{"image_id": "b", "image_index": 0, "row0": 0, "col0": 0, "size": 8, '
+        '"similarity": 0.5, "label": 1, "status": "ok"}')
+
+
+def _dataset(row: str) -> str:
+    """A reference dataset whose manifest is manifest.json beside it, holding `row`."""
+    return ('{"threshold": 0.5, "estimator_fingerprint": "x", "storage": "refs", '
+            '"manifest_path": "manifest.json", "samples": [' + row + ']}')
 
 
 @pytest.mark.parametrize("command, text", [
@@ -284,13 +300,29 @@ _DATASET_HEAD = '"threshold": 0.5, "estimator_fingerprint": "x", "storage": "ind
     ("train", '{"samples": []}'),
     ("train", '{' + _DATASET_HEAD + ', "samples": [{"image_id": "a", "image_index": 0}]}'),
     ("train", '{' + _DATASET_HEAD + ', "samples": ["row"]}'),
+    ("label", '{"entries": [' + _ENTRY.replace('"b.pfm"', '3') + ']}'),
+    ("label", '{"entries": [' + _ENTRY.replace('"seed": 0', '"seed": "0"') + ']}'),
+    ("train", _dataset(_ROW.replace('"image_index": 0', '"image_index": "0"'))),
+    ("train", _dataset(_ROW.replace('"label": 1', '"label": true'))),
+    ("train", _dataset(_ROW.replace('"row0": 0', '"row0": 0.5'))),
 ])
 def test_malformed_manifest_or_dataset_is_a_format_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
     path.write_text(text)
+    (tmp_path / "manifest.json").write_text('{"entries": [' + _ENTRY + ']}')
     flag = {"label": "--manifest", "train": "--dataset"}[command]
     assert main([command, flag, str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_FORMAT
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", [1, -1])
+def test_dataset_row_outside_the_manifest_is_a_format_error(tmp_path, capsys, index):
+    (tmp_path / "manifest.json").write_text('{"entries": [' + _ENTRY + ']}')
+    write_image(flat_patch(16, 0.5), tmp_path / "b.pfm")
+    path = tmp_path / "input.json"
+    path.write_text(_dataset(_ROW.replace('"image_index": 0', f'"image_index": {index}')))
+    assert main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_FORMAT
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_even_kernel_size_is_a_validation_error(pipeline, tmp_path, capsys):
