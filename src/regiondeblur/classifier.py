@@ -11,6 +11,10 @@ classical momentum; gradients come from a hand-written reverse pass.
 declares its header descriptor and its output shape, and a `Network` accepts
 no other layer, so nothing downsamples by windowed pooling.
 
+Inference (a forward pass without a tape) runs the layers up to the global
+pooling on tiles of about 2**16 input pixels, so its memory is bounded per
+tile rather than growing with the batch; training keeps whole-batch passes.
+
 Models serialize to a self-describing container: magic bytes, a format
 version, a JSON layer-descriptor header carrying a SHA-256 payload checksum,
 and the little-endian float64 parameters.
@@ -37,6 +41,9 @@ MODEL_VERSION = 1
 _HEADER_TYPES = {"input_side": (int,), "standardize": (bool,), "layers": (list,),
                  "param_count": (int,), "sha256": (str,)}
 _LOGIT_CAP = 35.0
+# Input pixels per tile of an untaped forward pass: one 228 px patch, or
+# sixteen 64 px patches.
+_TILE_PIXELS = 1 << 16
 _STANDARDIZE_EPS = 1e-8
 
 
@@ -73,13 +80,20 @@ def _col2im(dcols: np.ndarray, padded_shape, k: int, stride: int, oh: int, ow: i
 
 class _Layer:
     """One CNN layer type: ``kind`` names it in the model header and ``fields``
-    lists its constructor arguments in constructor order."""
+    lists its constructor arguments in constructor order. ``backward`` always
+    accumulates parameter gradients and returns the input gradient, or None
+    when called with ``input_grad=False``."""
 
     kind: str
     fields: tuple[str, ...] = ()
 
     def descriptor(self) -> dict:
         return {"type": self.kind, **{name: getattr(self, name) for name in self.fields}}
+
+    @classmethod
+    def parameter_count(cls, *args: int) -> int:
+        """Parameters a layer built from ``args`` holds, found without building it."""
+        return 0
 
     def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
         return shape
@@ -129,6 +143,11 @@ class Conv2d(_WeightBias):
         self._init_parameters((out_channels, in_channels, kernel_size, kernel_size),
                               out_channels, math.sqrt(2.0 / fan_in), rng)
 
+    @classmethod
+    def parameter_count(cls, in_channels: int, out_channels: int, kernel_size: int,
+                        stride: int = 1) -> int:
+        return out_channels * (in_channels * kernel_size * kernel_size + 1)
+
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         oh = (h + 2 * self.pad - self.kernel_size) // self.stride + 1
         ow = (w + 2 * self.pad - self.kernel_size) // self.stride + 1
@@ -160,13 +179,15 @@ class Conv2d(_WeightBias):
             tape.append((self, (padded.shape, cols, oh, ow)))
         return out
 
-    def backward(self, dout: np.ndarray, saved) -> np.ndarray:
+    def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
         padded_shape, cols, oh, ow = saved
         n = dout.shape[0]
         dout2 = dout.reshape(n, self.out_channels, oh * ow)
         w2 = self.weight.reshape(self.out_channels, -1)
         self.grad_weight += np.matmul(dout2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weight.shape)
         self.grad_bias += dout2.sum(axis=(0, 2))
+        if not input_grad:
+            return None
         dcols = np.matmul(w2.T, dout2)
         dpadded = _col2im(dcols, padded_shape, self.kernel_size, self.stride, oh, ow)
         p = self.pad
@@ -182,8 +203,8 @@ class ReLU(_Layer):
             tape.append((self, x > 0))
         return out
 
-    def backward(self, dout: np.ndarray, saved) -> np.ndarray:
-        return dout * saved
+    def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+        return dout * saved if input_grad else None
 
 
 class ResidualBlock(_Layer):
@@ -203,10 +224,22 @@ class ResidualBlock(_Layer):
         self.stride = stride
         self.conv1 = Conv2d(in_channels, out_channels, 3, stride, rng)
         self.conv2 = Conv2d(out_channels, out_channels, 3, 1, rng)
-        if stride != 1 or in_channels != out_channels:
+        if self._projects(in_channels, out_channels, stride):
             self.projection = Conv2d(in_channels, out_channels, 1, stride, rng)
         else:
             self.projection = None
+
+    @staticmethod
+    def _projects(in_channels: int, out_channels: int, stride: int) -> bool:
+        return stride != 1 or in_channels != out_channels
+
+    @classmethod
+    def parameter_count(cls, in_channels: int, out_channels: int, stride: int = 1) -> int:
+        count = (Conv2d.parameter_count(in_channels, out_channels, 3)
+                 + Conv2d.parameter_count(out_channels, out_channels, 3))
+        if cls._projects(in_channels, out_channels, stride):
+            count += Conv2d.parameter_count(in_channels, out_channels, 1)
+        return count
 
     def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
         return self.conv2.out_shape(self.conv1.out_shape(shape))
@@ -223,17 +256,14 @@ class ResidualBlock(_Layer):
             tape.append((self, (inner, a > 0, s > 0)))
         return out
 
-    def backward(self, dout: np.ndarray, saved) -> np.ndarray:
+    def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
         inner, mask_a, mask_s = saved
         ds = dout * mask_s
         dr = self.conv2.backward(ds, inner[1][1])
         da = dr * mask_a
-        dx = self.conv1.backward(da, inner[0][1])
-        if self.projection is not None:
-            dx = dx + self.projection.backward(ds, inner[2][1])
-        else:
-            dx = dx + ds
-        return dx
+        dx = self.conv1.backward(da, inner[0][1], input_grad)
+        shortcut = ds if self.projection is None else self.projection.backward(ds, inner[2][1], input_grad)
+        return dx + shortcut if input_grad else None
 
     def _convs(self) -> list[Conv2d]:
         return [c for c in (self.conv1, self.conv2, self.projection) if c is not None]
@@ -259,9 +289,9 @@ class GlobalAveragePool(_Layer):
             tape.append((self, x.shape))
         return out
 
-    def backward(self, dout: np.ndarray, saved) -> np.ndarray:
+    def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
         n, c, h, w = saved
-        return np.broadcast_to(dout[:, :, None, None], (n, c, h, w)) / (h * w)
+        return np.broadcast_to(dout[:, :, None, None], (n, c, h, w)) / (h * w) if input_grad else None
 
 
 class Dense(_WeightBias):
@@ -274,6 +304,10 @@ class Dense(_WeightBias):
         self.out_features = out_features
         self._init_parameters((in_features, out_features), out_features,
                               math.sqrt(1.0 / in_features), rng)
+
+    @classmethod
+    def parameter_count(cls, in_features: int, out_features: int) -> int:
+        return (in_features + 1) * out_features
 
     def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(shape) != 1:
@@ -292,10 +326,10 @@ class Dense(_WeightBias):
             tape.append((self, x))
         return out
 
-    def backward(self, dout: np.ndarray, saved) -> np.ndarray:
+    def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
         self.grad_weight += saved.T @ dout
         self.grad_bias += dout.sum(axis=0)
-        return dout @ self.weight.T
+        return dout @ self.weight.T if input_grad else None
 
 
 _LAYER_TYPES = {cls.kind: cls for cls in (Conv2d, ReLU, ResidualBlock, GlobalAveragePool, Dense)}
@@ -314,13 +348,18 @@ class Network:
         self._validate_shapes()
 
     def _validate_shapes(self) -> None:
+        """Check the per-sample shape through every layer and record where the
+        trunk ends: at the first layer whose output is 1-D."""
         if self.input_side < 1:
             raise ValidationError(f"input_side must be positive, got {self.input_side}")
         shape = (1, self.input_side, self.input_side)
-        for layer in self.layers:
+        self._trunk_end = None
+        for index, layer in enumerate(self.layers):
             if type(layer) not in _LAYER_TYPES.values():
                 raise ValidationError(f"unsupported layer type {type(layer).__name__}")
             shape = layer.out_shape(shape)
+            if self._trunk_end is None and len(shape) == 1:
+                self._trunk_end = index + 1
         if shape != (1,):
             raise ValidationError(f"network must end in a single logit, got output shape {shape}")
 
@@ -356,15 +395,34 @@ class Network:
         return x
 
     def logits(self, batch: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """One logit per patch. With a tape every layer sees the whole batch.
+        Without one, the trunk runs on tiles of about `_TILE_PIXELS` input
+        pixels and the head on the stacked pooled features, so memory stays
+        bounded per tile and every logit is bit-identical to the taped pass."""
         x = self._prepare(batch)
-        for layer in self.layers:
-            x = layer.forward(x, tape)
+        if tape is not None:
+            for layer in self.layers:
+                x = layer.forward(x, tape)
+            return x.reshape(-1)
+        tile = max(1, _TILE_PIXELS // self.input_side ** 2)
+        pooled = []
+        for start in range(0, max(len(x), 1), tile):  # an empty batch is one empty tile
+            y = x[start:start + tile]
+            for layer in self.layers[:self._trunk_end]:
+                y = layer.forward(y)
+            pooled.append(y)
+        x = np.concatenate(pooled)
+        for layer in self.layers[self._trunk_end:]:
+            x = layer.forward(x)
         return x.reshape(-1)
 
     def backward(self, tape: list, dlogits: np.ndarray) -> None:
+        """Accumulate parameter gradients; the network's input gradient is
+        never used, so the first layer skips it."""
         d = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)
-        for layer, saved in reversed(tape):
-            d = layer.backward(d, saved)
+        for index in range(len(tape) - 1, -1, -1):
+            layer, saved = tape[index]
+            d = layer.backward(d, saved, input_grad=index > 0)
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         z = np.clip(self.logits(batch), -_LOGIT_CAP, _LOGIT_CAP)
@@ -389,8 +447,9 @@ def build_small_resnet(seed: int = 0, input_side: int = 228, *, standardize: boo
     return Network(layers, input_side=input_side, standardize=standardize)
 
 
-def _layer_from_descriptor(desc) -> _Layer:
-    """The layer of a descriptor holding exactly `type` and positive-int `fields`."""
+def _layer_args(desc) -> tuple[type[_Layer], list[int]]:
+    """Layer class and constructor arguments of a descriptor holding exactly
+    `type` and positive-int `fields`."""
     kind = desc.get("type") if isinstance(desc, dict) else None
     cls = _LAYER_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
@@ -400,7 +459,7 @@ def _layer_from_descriptor(desc) -> _Layer:
     args = [desc[name] for name in cls.fields]
     if not all(type(a) is int and a >= 1 for a in args):
         raise ModelFormatError(f"{kind} descriptor fields must be positive integers, got {desc!r}")
-    return cls(*args)
+    return cls, args
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +647,21 @@ def load_model(path) -> Network:
         raise ModelFormatError(f"unreadable model header in {path}: {exc}") from None
     try:
         header = typed_fields(header, _HEADER_TYPES, "model header")
-        layers = [_layer_from_descriptor(d) for d in header["layers"]]
-        net = Network(layers, input_side=header["input_side"], standardize=header["standardize"])
-    except (ParseError, ModelFormatError, ValidationError) as exc:
+        specs = [_layer_args(d) for d in header["layers"]]
+    except (ParseError, ModelFormatError) as exc:
         raise ModelFormatError(f"inconsistent model header in {path}: {exc}") from None
-    count = sum(p.size for p in net.parameters())
+    # Counted from the fields before any layer allocates its arrays, so a
+    # header naming a huge layer is rejected without trying to allocate it.
+    count = sum(cls.parameter_count(*args) for cls, args in specs)
     payload = data[pos + header_len:]
     if header["param_count"] != count or len(payload) != 8 * count:
         raise ModelFormatError(f"model payload or param_count in {path} does not match "
                                f"the {count} parameters of its layers")
+    try:
+        net = Network([cls(*args) for cls, args in specs], input_side=header["input_side"],
+                      standardize=header["standardize"])
+    except ValidationError as exc:
+        raise ModelFormatError(f"inconsistent model header in {path}: {exc}") from None
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise ModelFormatError(f"model checksum mismatch in {path}")
     offset = 0

@@ -25,6 +25,7 @@ from .synthesis import CorpusManifest, PatchGridSpec, PatchRef, derive_seed, ext
 EVAL_CSV_HEADER = "image_id,method,ER,PSNR_dB,similarity,patch_row,patch_col,status"
 EVAL_METHODS = ("top", "random", "whole", "center", "gt")
 _CURVE_STEPS = 41
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _interior(arr: np.ndarray, margin: int) -> np.ndarray:
@@ -46,6 +47,13 @@ def align_to_reference(image: Image, reference: Image, max_shift: int, margin: i
     shifts within ``max_shift`` and keeps the one with the smallest interior
     squared error. ``margin`` must cover ``max_shift`` so pixels wrapped
     around by the shift never enter the comparison.
+
+    Every shift's squared error is first approximated at once: window energy
+    from a summed-area table of ``image**2``, cross term from one FFT
+    correlation with the reference interior. Only shifts whose approximation
+    lies within twice the rounding bound of the smallest are summed exactly,
+    in row-major shift order with a strict ``<``, so the first exact minimum
+    always wins.
     """
     if image.shape != reference.shape:
         raise DimensionError(f"shape mismatch: {image.shape} vs {reference.shape}")
@@ -56,16 +64,42 @@ def align_to_reference(image: Image, reference: Image, max_shift: int, margin: i
     if max_shift == 0:
         return image
     ref = _interior(reference.pixels, margin)
+    px = image.pixels
+    h, w = ref.shape
+    span = 2 * max_shift + 1
+    # Shift (dy, dx) compares the h x w window of px at (margin - dy,
+    # margin - dx) with ref. `energy` and `cross` are indexed by window corner
+    # minus `lo`; flipped, index (i, j) is shift (i - max_shift, j - max_shift).
+    lo = margin - max_shift
+    sq = np.zeros((px.shape[0] + 1, px.shape[1] + 1))
+    sq[1:, 1:] = np.cumsum(np.cumsum(px * px, axis=0), axis=1)
+    corner = sq[lo:lo + span, lo:lo + span]
+    energy = (sq[lo + h:lo + h + span, lo + w:lo + w + span] - sq[lo:lo + span, lo + w:lo + w + span]
+              - sq[lo + h:lo + h + span, lo:lo + span] + corner)
+    spectrum = np.fft.rfft2(px) * np.conj(np.fft.rfft2(ref, s=px.shape))
+    cross = np.fft.irfft2(spectrum, s=px.shape)[lo:lo + span, lo:lo + span]
+    ref_energy = float(np.sum(ref * ref))
+    approx = (energy - 2.0 * cross + ref_energy)[::-1, ::-1]
+    # Each approximation and each exact np.sum lies within `slack` of the true
+    # squared error: no step adds more than px.size rounded terms, each
+    # bounded by twice the total energy, and the FFT's error grows only with
+    # log(px.size). Only shifts within 2 * slack of the smallest approximation
+    # can hold the exact minimum; a non-finite value keeps every shift.
+    slack = 8.0 * (px.size + 2) * _EPS * (float(sq[-1, -1]) + ref_energy)
+    if np.all(np.isfinite(approx)) and math.isfinite(slack):
+        near = approx <= approx.min() + 2.0 * slack
+    else:
+        near = np.ones(approx.shape, dtype=bool)
     best_ssd = math.inf
     best_shift = (0, 0)
-    for dy in range(-max_shift, max_shift + 1):
-        for dx in range(-max_shift, max_shift + 1):
-            shifted = np.roll(image.pixels, (dy, dx), axis=(0, 1))
-            ssd = float(np.sum((_interior(shifted, margin) - ref) ** 2))
-            if ssd < best_ssd:
-                best_ssd = ssd
-                best_shift = (dy, dx)
-    return Image(np.roll(image.pixels, best_shift, axis=(0, 1)))
+    for i, j in zip(*np.nonzero(near)):
+        dy, dx = int(i) - max_shift, int(j) - max_shift
+        window = px[margin - dy:margin - dy + h, margin - dx:margin - dx + w]
+        ssd = float(np.sum((window - ref) ** 2))
+        if ssd < best_ssd:
+            best_ssd = ssd
+            best_shift = (dy, dx)
+    return Image(np.roll(px, best_shift, axis=(0, 1)))
 
 
 def error_ratio(estimated: Image, reference: Image, baseline: Image, margin: int = 0) -> float:

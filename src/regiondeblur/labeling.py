@@ -54,6 +54,10 @@ class LabeledSample:
     status: str
     patch_path: str | None = None
 
+    def __post_init__(self):
+        if self.label not in (0, 1):
+            raise ValidationError(f"label must be 0 or 1, got {self.label!r}")
+
 
 @dataclass
 class LabeledDataset:
@@ -69,6 +73,10 @@ class LabeledDataset:
     def __post_init__(self):
         if self.storage not in ("refs", "patches"):
             raise ValidationError(f"storage must be 'refs' or 'patches', got {self.storage!r}")
+        if self.storage == "patches":
+            for s in self.samples:
+                if s.patch_path is None:
+                    raise ValidationError(f"sample {s.image_id} has no stored patch")
 
     def positive_fraction(self) -> float:
         if not self.samples:
@@ -98,21 +106,25 @@ class LabeledDataset:
 
     @staticmethod
     def load(path) -> "LabeledDataset":
+        """Read a dataset index; wrong types and out-of-range values raise ParseError."""
         path = Path(path)
         raw = typed_fields(read_json(path, "dataset"), _DATASET_TYPES, f"dataset {path}")
         samples = []
-        for i, row in enumerate(raw["samples"]):
-            row = typed_fields(row, _ROW_TYPES, f"dataset {path} row {i}")
-            ref = PatchRef(row.pop("row0"), row.pop("col0"), row.pop("size"))
-            samples.append(LabeledSample(ref=ref, **row))
-        return LabeledDataset(
-            samples=tuple(samples),
-            threshold=raw["threshold"],
-            estimator_fingerprint=raw["estimator_fingerprint"],
-            storage=raw["storage"],
-            manifest_path=raw["manifest_path"],
-            base_dir=path.parent,
-        )
+        try:
+            for i, row in enumerate(raw["samples"]):
+                row = typed_fields(row, _ROW_TYPES, f"dataset {path} row {i}")
+                ref = PatchRef(row.pop("row0"), row.pop("col0"), row.pop("size"))
+                samples.append(LabeledSample(ref=ref, **row))
+            return LabeledDataset(
+                samples=tuple(samples),
+                threshold=raw["threshold"],
+                estimator_fingerprint=raw["estimator_fingerprint"],
+                storage=raw["storage"],
+                manifest_path=raw["manifest_path"],
+                base_dir=path.parent,
+            )
+        except ValidationError as exc:
+            raise ParseError(f"dataset {path}: {exc}") from None
 
 
 def estimator_fingerprint(cfg: EstimatorConfig) -> str:
@@ -253,8 +265,6 @@ def load_training_samples(dataset: LabeledDataset, manifest: CorpusManifest | No
     out: list[TrainingSample] = []
     if dataset.storage == "patches":
         for s in dataset.samples:
-            if s.patch_path is None:
-                raise ValidationError(f"sample {s.image_id} has no stored patch")
             patch = read_image(base / s.patch_path)
             out.append(TrainingSample(patch=patch, label=s.label, similarity=s.similarity))
         return out

@@ -139,6 +139,16 @@ def _string_layers(header, payload):
     return header, payload
 
 
+def _huge_stem(header, payload):
+    header["layers"][0]["out_channels"] = 2 ** 40  # weights alone would take 392 TiB
+    return header, payload
+
+
+def _huge_head(header, payload):
+    header["layers"][-1]["in_features"] = 2 ** 62  # more bytes than a 64-bit address space
+    return header, payload
+
+
 def _payload_short(header, payload):
     header["param_count"] -= 1
     return header, payload[:-8]
@@ -159,6 +169,8 @@ MALFORMED_MODEL_EDITS = {
     "even-kernel-size": _even_kernel_size,
     "payload-8-bytes-short": _payload_short,
     "payload-8-bytes-long": _payload_long,
+    "stem-2**40-channels": _huge_stem,
+    "head-2**62-features": _huge_head,
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from regiondeblur.classifier import (
     write_training_log,
     _Layer,
     _LAYER_TYPES,
-    _layer_from_descriptor,
+    _layer_args,
 )
 from regiondeblur.errors import DimensionError, ModelFormatError, ValidationError
 from regiondeblur.imagecore import Image
@@ -91,10 +92,19 @@ _EXAMPLE_ARGS = {"conv": (3, 5, 3, 2), "relu": (), "residual": (4, 8, 2),
 @pytest.mark.parametrize("kind", sorted(_LAYER_TYPES))
 def test_layer_descriptor_round_trip(kind):
     layer = _LAYER_TYPES[kind](*_EXAMPLE_ARGS[kind])
-    rebuilt = _layer_from_descriptor(layer.descriptor())
+    cls, args = _layer_args(layer.descriptor())
+    rebuilt = cls(*args)
     assert type(rebuilt) is type(layer)
     assert rebuilt.descriptor() == layer.descriptor()
     assert [p.shape for p in rebuilt.parameters()] == [p.shape for p in layer.parameters()]
+
+
+@pytest.mark.parametrize("cls, args", [
+    (Conv2d, (1, 16, 7, 2)), (ResidualBlock, (4, 4, 1)), (ResidualBlock, (4, 4, 2)),
+    (ResidualBlock, (4, 8, 1)), (Dense, (64, 1)), (ReLU, ()), (GlobalAveragePool, ()),
+])
+def test_parameter_count_matches_built_layer(cls, args):
+    assert cls.parameter_count(*args) == sum(p.size for p in cls(*args).parameters())
 
 
 def test_network_rejects_channel_mismatch():
@@ -146,6 +156,30 @@ def test_standardization_makes_affine_shifts_invisible():
     base = net.forward_batch(x)
     shifted = net.forward_batch(0.5 * x + 0.2)
     assert np.allclose(base, shifted, atol=1e-6)
+
+
+@pytest.mark.parametrize("side, count", [(64, 37), (100, 13), (228, 3)])
+def test_tiled_inference_matches_the_whole_batch_pass(side, count):
+    # Tiles hold 16, 6 and 1 patches: 37 and 13 patches end in a partial tile.
+    net = build_small_resnet(seed=2, input_side=side)
+    x = np.random.default_rng(side).uniform(0, 1, (count, side, side))
+    assert np.array_equal(net.logits(x), net.logits(x, tape=[]))
+    assert net.logits(x[:0]).shape == (0,)
+
+
+def test_inference_memory_is_bounded_per_tile():
+    # A whole-batch pass of 8 x 228 px patches needs 41 MB for the stem's
+    # im2col columns alone; one tile holds one patch.
+    net = build_small_resnet(seed=0, input_side=228)
+    x = np.random.default_rng(0).uniform(0, 1, (8, 228, 228))
+    net.forward_batch(x[:1])
+    tracemalloc.start()
+    try:
+        net.forward_batch(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_single_patch_forward_matches_batch():
@@ -206,6 +240,27 @@ def test_bce_with_logits_gradient_sign():
 
 # ---------------------------------------------------------------------------
 # gradients
+
+
+@pytest.mark.parametrize("first", ["conv", "residual"])
+def test_backward_skips_only_the_discarded_input_gradient(first):
+    rng = np.random.default_rng(12)
+    head = [GlobalAveragePool(), Dense(8, 1, rng)]
+    layers = ([Conv2d(1, 8, 3, 2, rng), ReLU()] if first == "conv"
+              else [ResidualBlock(1, 8, 2, rng)]) + head
+    net = Network(layers, input_side=12)
+    x = rng.uniform(0, 1, (4, 12, 12))
+    tape = []
+    _, dz = bce_with_logits(net.logits(x, tape), np.array([1.0, 0.0, 1.0, 0.0]))
+    net.zero_gradients()
+    net.backward(tape, dz)
+    skipped = [g.copy() for g in net.gradients()]
+    net.zero_gradients()
+    d = dz.reshape(-1, 1)
+    for layer, saved in reversed(tape):
+        d = layer.backward(d, saved)
+    assert d.shape == (4, 1, 12, 12)
+    assert all(np.array_equal(a, b) for a, b in zip(skipped, net.gradients()))
 
 
 def test_backward_matches_finite_differences():

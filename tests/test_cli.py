@@ -305,6 +305,11 @@ def _dataset(row: str) -> str:
     ("train", _dataset(_ROW.replace('"image_index": 0', '"image_index": "0"'))),
     ("train", _dataset(_ROW.replace('"label": 1', '"label": true'))),
     ("train", _dataset(_ROW.replace('"row0": 0', '"row0": 0.5'))),
+    ("train", '{' + _DATASET_HEAD + ', "samples": [' + _ROW + ']}'),
+    ("train", _dataset(_ROW.replace('"row0": 0', '"row0": -1'))),
+    ("train", _dataset(_ROW.replace('"size": 8', '"size": 0'))),
+    ("train", _dataset(_ROW.replace('"label": 1', '"label": 2'))),
+    ("train", _dataset(_ROW).replace('"refs"', '"patches"')),
 ])
 def test_malformed_manifest_or_dataset_is_a_format_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regiondeblur.classifier import build_small_resnet
 from regiondeblur.demodata import eval_scene, random_motion_kernel
@@ -92,6 +94,54 @@ def test_align_validates_its_window():
         align_to_reference(img, img, max_shift=-1, margin=2)
     with pytest.raises(DimensionError):
         align_to_reference(img, _img(np.zeros((16, 17))), max_shift=1, margin=1)
+
+
+def _reference_align(image, reference, max_shift, margin):
+    """The original search: roll the whole image for every shift."""
+    if max_shift == 0:
+        return image
+    ref = reference.pixels[margin:reference.height - margin, margin:reference.width - margin]
+    best_ssd, best_shift = math.inf, (0, 0)
+    for dy in range(-max_shift, max_shift + 1):
+        for dx in range(-max_shift, max_shift + 1):
+            shifted = np.roll(image.pixels, (dy, dx), axis=(0, 1))
+            inner = shifted[margin:shifted.shape[0] - margin, margin:shifted.shape[1] - margin]
+            ssd = float(np.sum((inner - ref) ** 2))
+            if ssd < best_ssd:
+                best_ssd, best_shift = ssd, (dy, dx)
+    return _img(np.roll(image.pixels, best_shift, axis=(0, 1)))
+
+
+@st.composite
+def _alignment_cases(draw):
+    height, width = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    margin = draw(st.integers(1, (min(height, width) - 1) // 2))
+    max_shift = draw(st.integers(0, margin))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    reference = rng.uniform(size=(height, width))
+    kind = draw(st.sampled_from(["random", "flat", "quantized", "shifted", "ulp-apart"]))
+    if kind == "random":
+        image = rng.uniform(size=(height, width))
+    elif kind == "flat":
+        image = np.full((height, width), rng.uniform())
+    elif kind == "quantized":
+        levels = draw(st.integers(1, 3))
+        reference = np.round(reference * levels) / levels
+        image = np.round(rng.uniform(size=(height, width)) * levels) / levels
+    elif kind == "shifted":
+        shift = rng.integers(-max_shift, max_shift + 1, size=2)
+        image = np.roll(reference, tuple(shift), axis=(0, 1))
+    else:
+        image = reference * (1.0 + 2.0 ** -52 * rng.integers(-2, 3, size=(height, width)))
+    return _img(image), _img(reference), max_shift, margin
+
+
+@settings(max_examples=300)
+@given(_alignment_cases())
+def test_align_matches_the_roll_loop(case):
+    image, reference, max_shift, margin = case
+    aligned = align_to_reference(image, reference, max_shift, margin)
+    assert np.array_equal(aligned.pixels, _reference_align(image, reference, max_shift, margin).pixels)
 
 
 def test_psnr_known_values():
