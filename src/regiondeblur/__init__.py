@@ -11,13 +11,12 @@ from .errors import (
     DegenerateDenominatorError,
     DegenerateInputError,
     DimensionError,
-    EstimatorError,
     ModelFormatError,
     ParseError,
     RegionDeblurError,
     ValidationError,
 )
-from .estimator import BlindEstimator, EstimatorConfig, ExternalEstimator, estimate_kernel, solve_latent
+from .estimator import EstimatorConfig, estimate_kernel, solve_latent
 from .evaluation import align_to_reference, error_ratio, evaluate_pipeline, psnr, success_curve
 from .imagecore import (
     BoundaryMode,
@@ -33,21 +32,18 @@ from .imagecore import (
 )
 from .kernelsim import LabelConfig, kernel_similarity, label
 from .labeling import LabeledDataset, build_dataset, load_training_samples
-from .selector import score_patches, select_and_estimate, select_top
+from .selector import score_patches, select_top
 from .synthesis import CorpusManifest, NoiseModel, PatchGridSpec, PatchRef, blur_image, generate_corpus
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlindEstimator",
     "BoundaryMode",
     "CorpusManifest",
     "DegenerateDenominatorError",
     "DegenerateInputError",
     "DimensionError",
     "EstimatorConfig",
-    "EstimatorError",
-    "ExternalEstimator",
     "Image",
     "Kernel",
     "LabelConfig",
@@ -81,7 +77,6 @@ __all__ = [
     "resample",
     "save_model",
     "score_patches",
-    "select_and_estimate",
     "select_top",
     "solve_latent",
     "success_curve",

@@ -428,9 +428,6 @@ class Network:
         z = np.clip(self.logits(batch), -_LOGIT_CAP, _LOGIT_CAP)
         return _sigmoid(z)
 
-    def forward(self, patch: Image) -> float:
-        return float(self.forward_batch(patch.pixels[None])[0])
-
 
 def build_small_resnet(seed: int = 0, input_side: int = 228, *, standardize: bool = True) -> Network:
     """The default architecture: 7x7/2 stem into 16/32/64 residual stages."""

@@ -21,8 +21,6 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .classifier import (
     TrainConfig,
     build_small_resnet,
@@ -37,15 +35,16 @@ from .errors import (
     RegionDeblurError,
     ValidationError,
 )
-from .estimator import BlindEstimator, EstimatorConfig, solve_latent
+from .estimator import EstimatorConfig, estimate_kernel
 from .evaluation import (
     EVAL_METHODS,
+    deconvolve,
     evaluate_pipeline,
     success_curve,
     write_eval_csv,
     write_success_curve_svg,
 )
-from .imagecore import Image, read_image, write_image, write_kernel
+from .imagecore import read_image, write_image, write_kernel
 from .kernelsim import LabelConfig
 from .labeling import (
     LabeledDataset,
@@ -53,8 +52,8 @@ from .labeling import (
     class_balance_report,
     load_training_samples,
 )
-from .selector import annotate_selection, score_patches, select_and_estimate, select_top
-from .synthesis import CorpusManifest, NoiseModel, PatchGridSpec, generate_corpus
+from .selector import annotate_selection, score_patches, select_top
+from .synthesis import CorpusManifest, NoiseModel, PatchGridSpec, extract, generate_corpus
 
 JOBS_ENV_VAR = "REGIONDEBLUR_JOBS"
 
@@ -73,13 +72,33 @@ def _default_jobs() -> int:
     return value
 
 
-def _to_bool(value) -> bool:
+# The option converters. Each takes a flag's string or a config file's JSON
+# value, and argparse names it in its error message ("invalid integer value").
+
+def boolean(value) -> bool:
     """Accept a JSON boolean or the strings "true"/"false"; reject anything else."""
     if isinstance(value, bool):
         return value
     if value in ("true", "false"):
         return value == "true"
     raise ValueError(f"expected true or false, got {value!r}")
+
+
+def integer(value) -> int:
+    """An integer or its decimal string; an integral float is accepted, a boolean is not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def number(value) -> float:
+    """A finite number or its string; a boolean, NaN or infinity is rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return result
 
 
 class Option(NamedTuple):
@@ -96,59 +115,59 @@ _COMMAND_OPTIONS = {
         "sharp_dir": Option(str, None),
         "kernel_dir": Option(str, None),
         "out_dir": Option(str, None),
-        "sigma": Option(float, 4.0, "noise std on the 0-255 scale"),
-        "seed": Option(int, 0),
-        "jobs": Option(int, _default_jobs),
+        "sigma": Option(number, 4.0, "noise std on the 0-255 scale"),
+        "seed": Option(integer, 0),
+        "jobs": Option(integer, _default_jobs),
     },
     "label": {
         "manifest": Option(str, None),
         "out_dir": Option(str, None),
-        "patch_size": Option(int, 228),
-        "stride": Option(int, 20),
-        "kernel_size": Option(int, 27),
-        "threshold": Option(float, 0.75, "similarity threshold separating good from bad patches",
+        "patch_size": Option(integer, 228),
+        "stride": Option(integer, 20),
+        "kernel_size": Option(integer, 27),
+        "threshold": Option(number, 0.75, "similarity threshold separating good from bad patches",
                             flag="--lambda"),
-        "jobs": Option(int, _default_jobs),
-        "store_patches": Option(_to_bool, False),
+        "jobs": Option(integer, _default_jobs),
+        "store_patches": Option(boolean, False),
     },
     "train": {
         "dataset": Option(str, None),
         "out_dir": Option(str, None),
-        "epochs": Option(int, 20),
-        "batch_size": Option(int, 32),
-        "learning_rate": Option(float, 0.001),
-        "momentum": Option(float, 0.9),
-        "seed": Option(int, 0),
-        "input_side": Option(int, 0, "network input side; 0 uses the dataset patch size"),
+        "epochs": Option(integer, 20),
+        "batch_size": Option(integer, 32),
+        "learning_rate": Option(number, 0.001),
+        "momentum": Option(number, 0.9),
+        "seed": Option(integer, 0),
+        "input_side": Option(integer, 0, "network input side; 0 uses the dataset patch size"),
     },
     "select": {
         "model": Option(str, None),
         "image": Option(str, None),
-        "patch_size": Option(int, 0, "0 uses the model input side"),
-        "stride": Option(int, 20),
-        "top": Option(int, 5),
+        "patch_size": Option(integer, 0, "0 uses the model input side"),
+        "stride": Option(integer, 20),
+        "top": Option(integer, 5),
         "out_json": Option(str, ""),
         "out_annotated": Option(str, ""),
     },
     "deblur": {
         "model": Option(str, None),
         "image": Option(str, None),
-        "kernel_size": Option(int, None),
+        "kernel_size": Option(integer, None),
         "out_dir": Option(str, None),
-        "patch_size": Option(int, 0),
-        "stride": Option(int, 20),
-        "latent_reg": Option(float, 2e-3),
+        "patch_size": Option(integer, 0),
+        "stride": Option(integer, 20),
+        "latent_reg": Option(number, 2e-3),
     },
     "evaluate": {
         "manifest": Option(str, None),
         "model": Option(str, ""),
         "out_dir": Option(str, None),
-        "patch_size": Option(int, 228),
-        "stride": Option(int, 20),
-        "kernel_size": Option(int, 27),
+        "patch_size": Option(integer, 228),
+        "stride": Option(integer, 20),
+        "kernel_size": Option(integer, 27),
         "methods": Option(str, "top,random,whole,center,gt",
                           "comma-separated subset of " + ",".join(EVAL_METHODS)),
-        "seed": Option(int, 0),
+        "seed": Option(integer, 0),
     },
 }
 
@@ -167,9 +186,9 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            raw = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file {config_path} is not valid JSON: {exc}")
+            raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"config file {config_path} is not valid UTF-8 JSON: {exc}")
         if not isinstance(raw, dict):
             raise ValidationError(f"config file {config_path} must hold a JSON object")
         for key, value in raw.items():
@@ -179,7 +198,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
                 raise ValidationError(f"config key {key!r} has a bad value: null")
             try:
                 merged[key] = spec[key].conv(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"config key {key!r} has a bad value: {exc}")
     for name in spec:
         value = getattr(args, name, None)
@@ -283,27 +302,26 @@ def _cmd_deblur(opts: dict) -> int:
     image = read_image(opts["image"])
     patch_size = opts["patch_size"] or net.input_side
     grid = PatchGridSpec(patch_size=patch_size, stride=opts["stride"])
-    estimator = BlindEstimator(EstimatorConfig(kernel_size=opts["kernel_size"]))
-    selected = select_and_estimate(net, image, grid, estimator)
-    if selected.estimate.degenerate:
+    cfg = EstimatorConfig(kernel_size=opts["kernel_size"])
+    best = select_top(score_patches(net, image, grid), 1)[0]
+    estimate = estimate_kernel(extract(image, best.ref), cfg)
+    if estimate.degenerate:
         print(
             "warning: kernel estimation degenerated to the identity; "
             "output equals the input",
             file=sys.stderr,
         )
-    latent = solve_latent(image, selected.estimate.kernel, opts["latent_reg"])
-    latent = Image(np.clip(latent.pixels, 0.0, 1.0))
+    latent = deconvolve(image, estimate.kernel, opts["latent_reg"])
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_kernel(selected.estimate.kernel, out_dir / "kernel.txt")
+    write_kernel(estimate.kernel, out_dir / "kernel.txt")
     write_image(latent, out_dir / "deblurred.pfm")
     write_image(latent, out_dir / "deblurred.pgm")
-    write_image(annotate_selection(image, selected.patch.ref), out_dir / "selection.pgm")
+    write_image(annotate_selection(image, best.ref), out_dir / "selection.pgm")
     _echo_config("deblur", opts, out_dir)
     print(
         f"deblurred {opts['image']} from patch "
-        f"({selected.patch.ref.row0}, {selected.patch.ref.col0}) "
-        f"scored {selected.patch.score:.4f}"
+        f"({best.ref.row0}, {best.ref.col0}) scored {best.score:.4f}"
     )
     return EXIT_OK
 
@@ -362,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with option defaults for this command")
         for name, opt in _COMMAND_OPTIONS[command].items():
             # A boolean flag given alone means true; it also takes an explicit value.
-            extra = {"nargs": "?", "const": True} if opt.conv is _to_bool else {}
+            extra = {"nargs": "?", "const": True} if opt.conv is boolean else {}
             p.add_argument(_flag(name, opt), dest=name, type=opt.conv, help=opt.help, **extra)
         p.set_defaults(func=func)
     return parser

@@ -33,7 +33,3 @@ class ParseError(RegionDeblurError):
 
 class ModelFormatError(RegionDeblurError):
     """A model container is corrupt, truncated, or of an unsupported version."""
-
-
-class EstimatorError(RegionDeblurError):
-    """An external kernel estimator failed, timed out, or produced no output."""

@@ -21,30 +21,14 @@ from __future__ import annotations
 
 import functools
 import math
-import subprocess
-import tempfile
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import (
-    DegenerateInputError,
-    DimensionError,
-    EstimatorError,
-    ValidationError,
-)
+from .errors import DegenerateInputError, DimensionError, ValidationError
 from .imagecore import (
-    Image,
-    Kernel,
-    _periodic_taper,
-    _resample_to,
-    kernel_otf,
-    read_kernel,
-    resample,
-    taper_window,
-    write_image,
+    Image, Kernel, _periodic_taper, _resample_to, kernel_otf, resample, taper_window,
 )
 
 _SHOCK_DT = 0.5
@@ -288,49 +272,3 @@ def estimate_kernel(blurred: Image, cfg: EstimatorConfig) -> KernelEstimate:
         kernel = current
     return KernelEstimate(kernel=kernel, degenerate=False, per_level=tuple(per_level))
 
-
-class BlindEstimator:
-    """Pluggable wrapper: estimator = BlindEstimator(cfg); estimator(image)."""
-
-    def __init__(self, cfg: EstimatorConfig):
-        self.cfg = cfg
-
-    def with_kernel_size(self, size: int) -> "BlindEstimator":
-        return BlindEstimator(replace(self.cfg, kernel_size=size))
-
-    def __call__(self, blurred: Image) -> KernelEstimate:
-        return estimate_kernel(blurred, self.cfg)
-
-
-class ExternalEstimator:
-    """Adapter that shells out to `command blurred.pfm kernel_size out.txt`."""
-
-    def __init__(self, command, kernel_size: int, timeout: float = 300.0):
-        self.command = tuple(str(c) for c in command)
-        self.kernel_size = int(kernel_size)
-        self.timeout = float(timeout)
-
-    def with_kernel_size(self, size: int) -> "ExternalEstimator":
-        return ExternalEstimator(self.command, size, self.timeout)
-
-    def __call__(self, blurred: Image) -> KernelEstimate:
-        with tempfile.TemporaryDirectory(prefix="regiondeblur-ext-") as tmp:
-            in_path = Path(tmp) / "blurred.pfm"
-            out_path = Path(tmp) / "kernel.txt"
-            write_image(blurred, in_path)
-            argv = [*self.command, str(in_path), str(self.kernel_size), str(out_path)]
-            try:
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True, timeout=self.timeout
-                )
-            except subprocess.TimeoutExpired as exc:
-                raise EstimatorError(f"external estimator timed out after {self.timeout}s") from exc
-            if proc.returncode != 0:
-                detail = proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else ""
-                raise EstimatorError(
-                    f"external estimator exited with code {proc.returncode}: {detail}"
-                )
-            if not out_path.exists():
-                raise EstimatorError("external estimator wrote no kernel file")
-            k = read_kernel(out_path)
-            return KernelEstimate(kernel=k, degenerate=False, per_level=(k,))

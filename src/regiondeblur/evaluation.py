@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, DimensionError, RegionDeblurError, ValidationError
 from .estimator import EstimatorConfig, estimate_kernel, solve_latent
-from .imagecore import Image, read_image, read_kernel
+from .imagecore import Image, Kernel, read_image, read_kernel
 from .kernelsim import kernel_similarity
 from .selector import score_patches, select_top
 from .synthesis import CorpusManifest, PatchGridSpec, PatchRef, derive_seed, extract, patch_grid
@@ -189,8 +189,9 @@ def _interior_psnr(image: Image, reference: Image, margin: int) -> float:
     return psnr(Image(_interior(image.pixels, margin)), Image(_interior(reference.pixels, margin)))
 
 
-def _clipped(img: Image) -> Image:
-    return Image(np.clip(img.pixels, 0.0, 1.0))
+def deconvolve(blurred: Image, kernel: Kernel, reg: float) -> Image:
+    """Recover the whole latent image under ``kernel``, clipped to [0, 1]."""
+    return Image(np.clip(solve_latent(blurred, kernel, reg).pixels, 0.0, 1.0))
 
 
 def _pick_random_ref(refs: list[PatchRef], seed: int) -> PatchRef:
@@ -231,7 +232,7 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
         true_kernel = read_kernel(manifest.resolve(entry.kernel_path))
         cfg = replace(est_cfg, kernel_size=true_kernel.side_h)
         margin = true_kernel.side_h // 2
-        baseline = _clipped(solve_latent(blurred, true_kernel, cfg.latent_reg))
+        baseline = deconvolve(blurred, true_kernel, cfg.latent_reg)
         baseline = align_to_reference(baseline, sharp, margin, margin)
 
         for method in methods:
@@ -273,7 +274,7 @@ def _run_method(method, image_id, index, blurred, sharp, true_kernel,
         patch_row, patch_col = ref.row0, ref.col0
         estimate = estimate_kernel(extract(blurred, ref), cfg)
 
-    recovered = _clipped(solve_latent(blurred, estimate.kernel, cfg.latent_reg))
+    recovered = deconvolve(blurred, estimate.kernel, cfg.latent_reg)
     recovered = align_to_reference(recovered, sharp, margin, margin)
     ratio = error_ratio(recovered, sharp, baseline, margin)
     sim = kernel_similarity(estimate.kernel, true_kernel).value

@@ -22,7 +22,6 @@ from .errors import DimensionError, ParseError, ValidationError
 
 KERNEL_SUM_TOL = 1e-6
 KERNEL_FILE_SUM_TOL = 1e-4
-LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 _WHITESPACE = b" \t\r\n\f\v"
 
@@ -100,15 +99,6 @@ class Kernel:
         arr = np.zeros((side, side))
         arr[side // 2, side // 2] = 1.0
         return Kernel(arr)
-
-
-def rgb_to_gray(rgb) -> np.ndarray:
-    """Collapse an (H, W, 3) array to grayscale with the usual luma weights."""
-    arr = np.asarray(rgb, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise DimensionError(f"expected an (H, W, 3) array, got shape {arr.shape}")
-    r, g, b = LUMA_WEIGHTS
-    return r * arr[:, :, 0] + g * arr[:, :, 1] + b * arr[:, :, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +221,6 @@ def _periodic_taper(pixels: np.ndarray, otf: np.ndarray, taper: tuple[int, int])
     return w2 * pixels + (1.0 - w2) * blurred
 
 
-def edge_taper(img: Image, k: Kernel) -> Image:
-    """Blend the border band toward a periodic blur so FFT deconvolution rings less."""
-    _check_kernel_fits(img, k)
-    ph, pw = k.side_h // 2, k.side_w // 2
-    if ph == 0 and pw == 0:
-        return img
-    return Image(_periodic_taper(img.pixels, kernel_otf(k.weights, img.shape), (ph, pw)))
-
-
 # ---------------------------------------------------------------------------
 # file I/O
 
@@ -318,8 +299,8 @@ def decode_pfm(data: bytes) -> Image:
         scale = float(tok)
     except ValueError:
         raise ParseError(f"expected float scale, got {tok!r}", offset=start) from None
-    if scale == 0:
-        raise ParseError("scale must be non-zero", offset=start)
+    if scale == 0 or not math.isfinite(scale):
+        raise ParseError(f"scale must be finite and non-zero, got {tok!r}", offset=start)
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise ParseError("missing whitespace after scale", offset=pos)
     pos += 1
@@ -330,8 +311,11 @@ def decode_pfm(data: bytes) -> Image:
             offset=len(data),
         )
     dtype = "<f4" if scale < 0 else ">f4"
-    arr = np.frombuffer(data[pos:pos + count], dtype=dtype).reshape(height, width)
-    return Image(arr[::-1].astype(np.float64))
+    raw = np.frombuffer(data[pos:pos + count], dtype=dtype)
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise ParseError(f"non-finite pixel {float(raw[bad[0]])!r}", offset=pos + 4 * int(bad[0]))
+    return Image(raw.reshape(height, width)[::-1].astype(np.float64))
 
 
 def encode_pfm(img: Image) -> bytes:
@@ -364,7 +348,11 @@ def write_image(img: Image, path) -> None:
 
 def read_kernel(path) -> Kernel:
     """Read the plain-text kernel format and validate its invariants."""
-    text = Path(path).read_text(encoding="ascii")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"kernel file {path} is not ASCII text", offset=exc.start) from None
     spans = [(m.group(0), m.start()) for m in re.finditer(r"\S+", text)]
     if len(spans) < 2:
         raise ParseError(f"kernel file {path} lacks a size header", offset=len(text))
@@ -372,7 +360,10 @@ def read_kernel(path) -> Kernel:
         side_h = int(spans[0][0])
         side_w = int(spans[1][0])
     except ValueError:
-        raise ParseError(f"kernel size header must be two integers in {path}", offset=spans[0][1]) from None
+        side_h = side_w = 0
+    if side_h < 1 or side_w < 1:
+        raise ParseError(f"kernel size header must be two positive integers in {path}",
+                         offset=spans[0][1])
     expected = side_h * side_w
     body = spans[2:]
     if len(body) != expected:
@@ -383,9 +374,12 @@ def read_kernel(path) -> Kernel:
     values = []
     for tok, off in body:
         try:
-            values.append(float(tok))
+            value = float(tok)
         except ValueError:
-            raise ParseError(f"bad kernel weight {tok!r} in {path}", offset=off) from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"bad kernel weight {tok!r} in {path}", offset=off)
+        values.append(value)
     arr = np.array(values).reshape(side_h, side_w)
     if side_h % 2 == 0 or side_w % 2 == 0:
         raise ValidationError(f"kernel sides must be odd, got {side_h}x{side_w} in {path}")

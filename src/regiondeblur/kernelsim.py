@@ -65,14 +65,15 @@ def kernel_similarity(k_est, k_true) -> SimilarityScore:
 
     Accepts Kernel values or raw non-negative 2-D arrays; the score ignores
     positive rescaling of either argument. Raises ValidationError when either
-    kernel has no mass.
+    kernel has no mass, or so little that the product of the squared norms
+    underflows to zero.
     """
     a = _weights_of(k_est)
     b = _weights_of(k_true)
     sq_a = _exact_sum(a * a)
     sq_b = _exact_sum(b * b)
-    if sq_a == 0.0 or sq_b == 0.0:
-        raise ValidationError("cannot score an all-zero kernel")
+    if sq_a * sq_b == 0.0:
+        raise ValidationError("cannot score an all-zero kernel or normalize a vanishing one")
     # Canonical operand order makes the score exactly symmetric.
     if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
         a, b = b, a

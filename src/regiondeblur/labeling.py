@@ -18,9 +18,7 @@ from pathlib import Path
 
 from .classifier import TrainingSample
 from .errors import ParseError, ValidationError
-from .estimator import BlindEstimator, EstimatorConfig
-# Unused here, but perfbench's tracer test reads `labeling.estimate_kernel`.
-from .estimator import estimate_kernel  # noqa: F401
+from .estimator import EstimatorConfig, estimate_kernel
 from .imagecore import read_image, read_kernel, write_image
 from .kernelsim import LabelConfig, kernel_similarity, label
 from .synthesis import (
@@ -78,11 +76,6 @@ class LabeledDataset:
                 if s.patch_path is None:
                     raise ValidationError(f"sample {s.image_id} has no stored patch")
 
-    def positive_fraction(self) -> float:
-        if not self.samples:
-            raise ValidationError("dataset is empty")
-        return sum(s.label for s in self.samples) / len(self.samples)
-
     def to_dict(self) -> dict:
         rows = []
         for s in self.samples:
@@ -134,13 +127,13 @@ def estimator_fingerprint(cfg: EstimatorConfig) -> str:
 
 def _label_one_image(task):
     """Worker: similarity of every grid patch of one blurred image."""
-    blurred_path, kernel_path, grid, estimator = task
+    blurred_path, kernel_path, grid, est_cfg = task
     blurred = read_image(blurred_path)
     true_kernel = read_kernel(kernel_path)
-    estimator = estimator.with_kernel_size(true_kernel.side_h)
+    cfg = replace(est_cfg, kernel_size=true_kernel.side_h)
     rows = []
     for ref in patch_grid(blurred, grid):
-        estimate = estimator(extract(blurred, ref))
+        estimate = estimate_kernel(extract(blurred, ref), cfg)
         if estimate.degenerate:
             rows.append((ref, 0.0, STATUS_DEGENERATE))
         else:
@@ -151,23 +144,20 @@ def _label_one_image(task):
 
 def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
                   est_cfg: EstimatorConfig, label_cfg: LabelConfig,
-                  out_dir=None, *, store_patches: bool = False, jobs: int = 1,
-                  estimator=None) -> LabeledDataset:
+                  out_dir=None, *, store_patches: bool = False, jobs: int = 1) -> LabeledDataset:
     """Label every patch of every corpus image against its true kernel.
 
     Images are labeled in ``jobs`` worker processes (``jobs`` must be >= 1;
     1 runs in-process) and reassembled in manifest order, so the dataset is
-    identical for any job count. ``estimator`` defaults to
-    ``BlindEstimator(est_cfg)``; a custom one must be picklable when
-    ``jobs > 1``.
+    identical for any job count. Each image is estimated at its true
+    kernel's size; ``est_cfg`` supplies every other estimator setting.
     """
     if not manifest.entries:
         raise ValidationError("corpus manifest has no entries")
     if store_patches and out_dir is None:
         raise ValidationError("store_patches requires an output directory")
-    worker_estimator = BlindEstimator(est_cfg) if estimator is None else estimator
     tasks = [
-        (manifest.resolve(e.blurred_path), manifest.resolve(e.kernel_path), grid, worker_estimator)
+        (manifest.resolve(e.blurred_path), manifest.resolve(e.kernel_path), grid, est_cfg)
         for e in manifest.entries
     ]
     results = map_jobs(_label_one_image, tasks, jobs)
@@ -199,15 +189,10 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
                 patch_path=patch_path,
             ))
 
-    fingerprint = (
-        estimator_fingerprint(est_cfg)
-        if estimator is None
-        else hashlib.sha256(f"custom:{type(estimator).__name__}".encode()).hexdigest()[:16]
-    )
     dataset = LabeledDataset(
         samples=tuple(samples),
         threshold=label_cfg.threshold,
-        estimator_fingerprint=fingerprint,
+        estimator_fingerprint=estimator_fingerprint(est_cfg),
         storage="patches" if store_patches else "refs",
         manifest_path=None,
         base_dir=out_dir,
@@ -218,22 +203,6 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
             dataset.manifest_path = os.path.relpath(manifest.base_dir / "manifest.json", out_dir)
         dataset.save(out_dir / "dataset.json")
     return dataset
-
-
-def relabel(dataset: LabeledDataset, label_cfg: LabelConfig) -> LabeledDataset:
-    """Reapply a threshold to stored similarities without re-estimating."""
-    samples = tuple(
-        replace(s, label=0 if s.status == STATUS_DEGENERATE else label(s.similarity, label_cfg))
-        for s in dataset.samples
-    )
-    return LabeledDataset(
-        samples=samples,
-        threshold=label_cfg.threshold,
-        estimator_fingerprint=dataset.estimator_fingerprint,
-        storage=dataset.storage,
-        manifest_path=dataset.manifest_path,
-        base_dir=dataset.base_dir,
-    )
 
 
 def class_balance_report(dataset: LabeledDataset) -> dict:
@@ -247,7 +216,6 @@ def class_balance_report(dataset: LabeledDataset) -> dict:
         "total": total,
         "positives": positives,
         "negatives": total - positives,
-        "positive_fraction": fraction,
         "degenerate": sum(1 for s in dataset.samples if s.status == STATUS_DEGENERATE),
     }
     if not 0.3 <= fraction <= 0.7:

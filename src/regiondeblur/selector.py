@@ -1,4 +1,4 @@
-"""Rank image patches by classifier score and estimate from the best one."""
+"""Rank image patches by classifier score and mark the selected one."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ import numpy as np
 
 from .classifier import Network
 from .errors import ValidationError
-from .estimator import KernelEstimate
 from .imagecore import Image
 from .synthesis import PatchGridSpec, PatchRef, extract, patch_grid
+
+# Patches extracted and scored per forward_batch call.
+_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -19,21 +21,12 @@ class RankedPatch:
     score: float
 
 
-@dataclass(frozen=True)
-class SelectedEstimate:
-    patch: RankedPatch
-    estimate: KernelEstimate
-
-
-def score_patches(net: Network, image: Image, grid: PatchGridSpec,
-                  batch_size: int = 64) -> list[RankedPatch]:
+def score_patches(net: Network, image: Image, grid: PatchGridSpec) -> list[RankedPatch]:
     """Score every grid patch; ties rank earlier (row-major) patches first."""
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be positive, got {batch_size}")
     refs = patch_grid(image, grid)
     scores = np.empty(len(refs))
-    for start in range(0, len(refs), batch_size):
-        chunk = refs[start:start + batch_size]
+    for start in range(0, len(refs), _BATCH_SIZE):
+        chunk = refs[start:start + _BATCH_SIZE]
         batch = np.stack([extract(image, r).pixels for r in chunk])
         scores[start:start + len(chunk)] = net.forward_batch(batch)
     order = sorted(range(len(refs)), key=lambda i: (-scores[i], refs[i].row0, refs[i].col0))
@@ -46,14 +39,6 @@ def select_top(ranked: list[RankedPatch], k: int = 1) -> list[RankedPatch]:
     if not ranked:
         raise ValidationError("no patches to select from")
     return list(ranked[:k])
-
-
-def select_and_estimate(net: Network, image: Image, grid: PatchGridSpec,
-                        estimator) -> SelectedEstimate:
-    """Run the estimator on the single best-scoring patch of the image."""
-    best = select_top(score_patches(net, image, grid), 1)[0]
-    estimate = estimator(extract(image, best.ref))
-    return SelectedEstimate(patch=best, estimate=estimate)
 
 
 def annotate_selection(image: Image, ref: PatchRef, border: int = 3) -> Image:

@@ -182,14 +182,6 @@ def test_inference_memory_is_bounded_per_tile():
     assert peak < 20e6
 
 
-def test_single_patch_forward_matches_batch():
-    net = toy_net(seed=6)
-    x = np.random.default_rng(7).uniform(0, 1, (8, 8))
-    single = net.forward(Image(x))
-    batch = net.forward_batch(x[None])
-    assert single == batch[0]
-
-
 # ---------------------------------------------------------------------------
 # loss
 

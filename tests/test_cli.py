@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,10 @@ from regiondeblur.cli import (
 )
 from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel
 from regiondeblur.errors import ValidationError
-from regiondeblur.evaluation import EVAL_CSV_HEADER
-from regiondeblur.imagecore import write_image, write_kernel
+from regiondeblur.estimator import EstimatorConfig, estimate_kernel
+from regiondeblur.evaluation import EVAL_CSV_HEADER, deconvolve
+from regiondeblur.imagecore import Kernel, encode_pfm, read_image, write_image, write_kernel
+from regiondeblur.synthesis import PatchRef, extract
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +119,26 @@ def test_select_prints_ranked_patches(pipeline, capsys, tmp_path):
     assert out_pgm.exists()
 
 
-def test_deblur_outputs(pipeline, tmp_path):
+def test_deblur_outputs(pipeline, tmp_path, capsys):
+    """deblur estimates from the patch `select` ranks first and deconvolves as evaluate does."""
+    image, model = str(pipeline["blurred"]), str(pipeline["model"])
+    assert main(["select", "--model", model, "--image", image, "--stride", "32", "--top", "1"]) == EXIT_OK
+    row0, col0, _ = capsys.readouterr().out.split()
     out = tmp_path / "deblur"
     assert main([
-        "deblur", "--model", str(pipeline["model"]),
-        "--image", str(pipeline["blurred"]), "--kernel-size", "7",
+        "deblur", "--model", model, "--image", image, "--kernel-size", "7",
         "--stride", "32", "--out-dir", str(out),
     ]) == EXIT_OK
+    assert f"from patch ({row0}, {col0})" in capsys.readouterr().out
     for name in ("kernel.txt", "deblurred.pfm", "deblurred.pgm", "selection.pgm", "run_config.json"):
         assert (out / name).exists()
+    blurred = read_image(image)
+    ref = PatchRef(int(row0), int(col0), 32)
+    kernel = estimate_kernel(extract(blurred, ref), EstimatorConfig(kernel_size=7)).kernel
+    write_kernel(kernel, tmp_path / "expected.txt")
+    assert (out / "kernel.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
+    latent = deconvolve(blurred, kernel, 2e-3)
+    assert (out / "deblurred.pfm").read_bytes() == encode_pfm(latent)
 
 
 def test_deblur_degenerate_is_a_soft_failure(pipeline, tmp_path, capsys):
@@ -184,13 +198,14 @@ def test_unknown_config_key_is_rejected(pipeline, tmp_path, capsys):
 
 def test_malformed_config_json_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    code = main([
-        "synthesize", "--config", str(cfg),
-        "--sharp-dir", "a", "--kernel-dir", "b", "--out-dir", "c",
-    ])
-    assert code == EXIT_VALIDATION
-    assert "JSON" in capsys.readouterr().err
+    for data in (b"{not json", b'{"sigma": "\xff"}'):
+        cfg.write_bytes(data)
+        code = main([
+            "synthesize", "--config", str(cfg),
+            "--sharp-dir", "a", "--kernel-dir", "b", "--out-dir", "c",
+        ])
+        assert code == EXIT_VALIDATION
+        assert "JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, config, flags, expected", [
@@ -209,6 +224,18 @@ def test_malformed_config_json_is_rejected(tmp_path, capsys):
     ("synthesize", {"out_dir": None}, [], None),
     ("label", {"manifest": None}, [], None),
     ("label", {"store_patches": None}, [], None),
+    ("synthesize", {"jobs": 2.0}, [], 2),
+    ("synthesize", {"jobs": 1.7}, [], None),
+    ("synthesize", {"jobs": True}, [], None),
+    ("synthesize", {"seed": "1.5"}, [], None),
+    ("synthesize", {"sigma": False}, [], None),
+    ("synthesize", {"sigma": math.nan}, [], None),
+    ("synthesize", {"sigma": -math.inf}, [], None),
+    ("synthesize", {"sigma": 10 ** 400}, [], None),
+    ("synthesize", {}, ["--jobs", "1.7"], None),
+    ("synthesize", {}, ["--sigma", "nan"], None),
+    ("train", {}, ["--learning-rate", "nan"], None),
+    ("train", {}, ["--momentum", "inf"], None),
 ])
 def test_option_values_go_through_their_converter(tmp_path, capsys, command, config, flags,
                                                   expected):
@@ -218,12 +245,14 @@ def test_option_values_go_through_their_converter(tmp_path, capsys, command, con
     required = {
         "label": ["--manifest", "m.json"],
         "synthesize": ["--sharp-dir", "a", "--kernel-dir", "b"],
+        "train": ["--dataset", "d.json"],
     }[command]
     argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *required, *flags]
-    key = next(iter(config), "store_patches")
+    key = next(iter(config), flags[0][2:].replace("-", "_") if flags else "store_patches")
     if expected is None:
         assert main(argv) == EXIT_VALIDATION
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err or key.replace("_", "-") in err
     else:
         assert resolve_options(command, build_parser().parse_args(argv))[key] is expected
 
@@ -328,6 +357,27 @@ def test_dataset_row_outside_the_manifest_is_a_format_error(tmp_path, capsys, in
     path.write_text(_dataset(_ROW.replace('"image_index": 0', f'"image_index": {index}')))
     assert main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_FORMAT
     assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, data", [
+    ("k.txt", b"1 1\n1\xe9\n"),
+    ("k.txt", b"1 1\nnan\n"),
+    ("a.pfm", b"Pf\n1 1\n-1.0\n" + np.array([np.nan], dtype="<f4").tobytes()),
+    ("a.pfm", b"Pf\n1 1\nnan\n" + np.array([0.5], dtype="<f4").tobytes()),
+], ids=["kernel-non-ascii", "kernel-nan", "pfm-nan-pixel", "pfm-nan-scale"])
+def test_malformed_image_or_kernel_file_is_a_format_error(tmp_path, capsys, name, data):
+    sharp, kernels = tmp_path / "sharp", tmp_path / "kernels"
+    sharp.mkdir()
+    kernels.mkdir()
+    write_image(flat_patch(16, 0.5), sharp / "a.pfm")
+    write_kernel(Kernel.delta(11), kernels / "k.txt")
+    (kernels if name == "k.txt" else sharp).joinpath(name).write_bytes(data)
+    code = main([
+        "synthesize", "--sharp-dir", str(sharp), "--kernel-dir", str(kernels),
+        "--out-dir", str(tmp_path / "out"), "--jobs", "1",
+    ])
+    assert code == EXIT_FORMAT
+    assert "offset" in capsys.readouterr().err
 
 
 def test_even_kernel_size_is_a_validation_error(pipeline, tmp_path, capsys):

@@ -6,13 +6,10 @@ from regiondeblur.demodata import random_motion_kernel, textured_scene
 from regiondeblur.errors import (
     DegenerateInputError,
     DimensionError,
-    EstimatorError,
     ValidationError,
 )
 from regiondeblur.estimator import (
-    BlindEstimator,
     EstimatorConfig,
-    ExternalEstimator,
     build_pyramid,
     estimate_kernel,
     predict_gradients,
@@ -303,61 +300,3 @@ def test_estimate_kernel_refines_across_levels(roundtrip_cases):
             improved += 1
     assert improved >= 7
 
-
-def test_blind_estimator_with_kernel_size_returns_new_instance():
-    base = BlindEstimator(EstimatorConfig(kernel_size=13))
-    resized = base.with_kernel_size(9)
-    assert resized.cfg.kernel_size == 9
-    assert base.cfg.kernel_size == 13
-
-
-def _write_stub(tmp_path, body):
-    stub = tmp_path / "stub.py"
-    stub.write_text("import sys\n" + body)
-    return stub
-
-
-def test_external_estimator_runs_command(tmp_path):
-    stub = _write_stub(
-        tmp_path,
-        "open(sys.argv[3], 'w').write('3 3\\n0 0 0\\n0 1 0\\n0 0 0\\n')\n",
-    )
-    est = ExternalEstimator(["python3", str(stub)], kernel_size=3)
-    result = est(textured_scene(32, seed=11))
-    assert result.kernel.weights[1, 1] == 1.0
-    assert not result.degenerate
-
-
-def test_external_estimator_propagates_requested_size(tmp_path):
-    stub = _write_stub(
-        tmp_path,
-        "s = int(sys.argv[2])\n"
-        "rows = [' '.join(['0'] * s) for _ in range(s)]\n"
-        "mid = s // 2\n"
-        "cells = rows[mid].split(); cells[mid] = '1'; rows[mid] = ' '.join(cells)\n"
-        "open(sys.argv[3], 'w').write(f'{s} {s}\\n' + '\\n'.join(rows) + '\\n')\n",
-    )
-    est = ExternalEstimator(["python3", str(stub)], kernel_size=5).with_kernel_size(7)
-    result = est(textured_scene(32, seed=12))
-    assert result.kernel.weights.shape == (7, 7)
-
-
-def test_external_estimator_nonzero_exit_is_error(tmp_path):
-    stub = _write_stub(tmp_path, "sys.exit(3)\n")
-    est = ExternalEstimator(["python3", str(stub)], kernel_size=3)
-    with pytest.raises(EstimatorError):
-        est(textured_scene(32, seed=13))
-
-
-def test_external_estimator_missing_output_is_error(tmp_path):
-    stub = _write_stub(tmp_path, "pass\n")
-    est = ExternalEstimator(["python3", str(stub)], kernel_size=3)
-    with pytest.raises(EstimatorError):
-        est(textured_scene(32, seed=14))
-
-
-def test_external_estimator_timeout_is_error(tmp_path):
-    stub = _write_stub(tmp_path, "import time\ntime.sleep(30)\n")
-    est = ExternalEstimator(["python3", str(stub)], kernel_size=3, timeout=0.5)
-    with pytest.raises(EstimatorError):
-        est(textured_scene(32, seed=15))

@@ -175,7 +175,7 @@ def _records():
     return [
         EvalRecord("img0", "gt", 1.0, 31.5, 1.0, 10, 20, "ok"),
         EvalRecord("img0", "whole", math.inf, math.nan, 0.25, None, None, "ok"),
-        EvalRecord("img1", "top", math.nan, math.nan, math.nan, None, None, "error:EstimatorError"),
+        EvalRecord("img1", "top", math.nan, math.nan, math.nan, None, None, "error:DimensionError"),
     ]
 
 
@@ -186,7 +186,7 @@ def test_write_eval_csv_layout(tmp_path):
     assert lines[0] == EVAL_CSV_HEADER
     assert lines[1] == "img0,gt,1.0,31.5,1.0,10,20,ok"
     assert lines[2] == "img0,whole,inf,nan,0.25,,,ok"
-    assert lines[3] == "img1,top,nan,nan,nan,,,error:EstimatorError"
+    assert lines[3] == "img1,top,nan,nan,nan,,,error:DimensionError"
     assert path.read_text().endswith("\n")
 
 

@@ -10,16 +10,16 @@ from regiondeblur.imagecore import (
     BoundaryMode,
     Image,
     Kernel,
+    _periodic_taper,
     convolve_direct,
     convolve_fft,
     decode_pfm,
     decode_pgm,
-    edge_taper,
     encode_pfm,
     encode_pgm,
+    kernel_otf,
     read_kernel,
     resample,
-    rgb_to_gray,
     taper_window,
     write_kernel,
 )
@@ -102,12 +102,6 @@ def test_kernel_delta_is_centered():
     assert k.weights.sum() == 1.0
 
 
-def test_rgb_to_gray_channel_weights():
-    rgb = np.zeros((1, 1, 3))
-    rgb[0, 0, 1] = 1.0
-    assert rgb_to_gray(rgb)[0, 0] == 0.587
-
-
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -152,9 +146,9 @@ def test_edge_taper_preprocess_keeps_interior():
     rng = np.random.default_rng(46)
     img = Image(rng.uniform(0, 1, (40, 40)))
     k = random_kernel(rng, 7)
-    tapered = edge_taper(img, k)
+    tapered = _periodic_taper(img.pixels, kernel_otf(k.weights, img.shape), (3, 3))
     assert tapered.shape == img.shape
-    assert np.array_equal(tapered.pixels[10:-10, 10:-10], img.pixels[10:-10, 10:-10])
+    assert np.array_equal(tapered[10:-10, 10:-10], img.pixels[10:-10, 10:-10])
 
 
 @pytest.mark.parametrize("kernel_shape", [(3, 5), (5, 3), (7, 7)])
@@ -165,9 +159,11 @@ def test_edge_taper_matches_the_wrap_padded_convolution(shape, kernel_shape):
     weights = rng.uniform(0, 1, kernel_shape)
     k = Kernel(weights / weights.sum())
     blurred = convolve_fft(Image(pixels), k, BoundaryMode.PERIODIC).pixels
-    w2 = taper_window(shape, (kernel_shape[0] // 2, kernel_shape[1] // 2))
+    taper = (kernel_shape[0] // 2, kernel_shape[1] // 2)
+    w2 = taper_window(shape, taper)
     expected = w2 * pixels + (1.0 - w2) * blurred
-    assert np.max(np.abs(edge_taper(Image(pixels), k).pixels - expected)) < 1e-12
+    tapered = _periodic_taper(pixels, kernel_otf(k.weights, shape), taper)
+    assert np.max(np.abs(tapered - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +304,21 @@ def test_pfm_positive_scale_means_big_endian():
     assert img.pixels[0, 0] == 0.25
 
 
+@pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf"])
+def test_pfm_non_finite_scale_is_parse_error(scale):
+    payload = np.array([0.25, 0.5], dtype="<f4").tobytes()
+    with pytest.raises(ParseError):
+        decode_pfm(b"Pf\n2 1\n" + scale + b"\n" + payload)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pfm_non_finite_pixel_is_parse_error(value):
+    header = b"Pf\n2 1\n-1.0\n"
+    with pytest.raises(ParseError) as err:
+        decode_pfm(header + np.array([0.25, value], dtype="<f4").tobytes())
+    assert str(len(header) + 4) in str(err.value)
+
+
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 def test_pfm_round_trip_property(h, w, seed):
     rng = np.random.default_rng(seed)
@@ -372,5 +383,20 @@ def test_kernel_file_malformed_number_reports_offset(tmp_path):
 def test_kernel_file_wrong_count_is_parse_error(tmp_path):
     path = tmp_path / "k.txt"
     path.write_text("3 3\n0.5 0.5\n")
+    with pytest.raises(ParseError):
+        read_kernel(path)
+
+
+@pytest.mark.parametrize("body", [
+    b"1 1\n1.0\xe9\n",
+    b"1 1\nnan\n",
+    b"1 3\n0.5 inf 0.5\n",
+    b"1 1\n-infinity\n",
+    b"-1 -3\n0.5 0.25 0.25\n",
+    b"0 0\n",
+], ids=["non-ascii", "nan", "inf", "-infinity", "negative-sides", "zero-sides"])
+def test_malformed_kernel_file_is_parse_error(tmp_path, body):
+    path = tmp_path / "k.txt"
+    path.write_bytes(body)
     with pytest.raises(ParseError):
         read_kernel(path)

@@ -71,6 +71,10 @@ def test_raw_arrays_are_accepted():
 def test_zero_mass_kernel_is_rejected():
     with pytest.raises(ValidationError):
         kernel_similarity(np.zeros((3, 3)), np.ones((3, 3)))
+    # Neither square sum is zero, but their product underflows.
+    faint = np.full((1, 1), 8.84388657e-128)
+    with pytest.raises(ValidationError):
+        kernel_similarity(faint, faint)
 
 
 def test_negative_weights_are_rejected():
@@ -136,8 +140,8 @@ def _reference_similarity(k_est, k_true) -> float:
         return math.fsum(values[values != 0.0].tolist())
 
     sq_a, sq_b = exact(a * a), exact(b * b)
-    if sq_a == 0.0 or sq_b == 0.0:
-        raise ValidationError("cannot score an all-zero kernel")
+    if sq_a * sq_b == 0.0:
+        raise ValidationError("cannot score an all-zero kernel or normalize a vanishing one")
     if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
         a, b = b, a
         sq_a, sq_b = sq_b, sq_a
@@ -180,7 +184,7 @@ def _weights(draw):
 def test_similarity_is_bit_identical_to_the_double_loop(a, b):
     try:
         expected = _reference_similarity(a, b)
-    except ValidationError:  # a square sum that underflows to zero
+    except ValidationError:  # a square sum, or their product, that underflows to zero
         with pytest.raises(ValidationError):
             kernel_similarity(a, b)
         return

@@ -3,18 +3,16 @@ import pytest
 
 from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel
 from regiondeblur.errors import ValidationError
-from regiondeblur.estimator import BlindEstimator, EstimatorConfig, KernelEstimate
-from regiondeblur.imagecore import Kernel, write_image, write_kernel
+from regiondeblur.estimator import EstimatorConfig
+from regiondeblur.imagecore import write_image, write_kernel
 from regiondeblur.kernelsim import LabelConfig
 from regiondeblur.labeling import (
     STATUS_DEGENERATE,
-    STATUS_OK,
     LabeledDataset,
     build_dataset,
     class_balance_report,
     estimator_fingerprint,
     load_training_samples,
-    relabel,
 )
 from regiondeblur.synthesis import CorpusManifest, NoiseModel, PatchGridSpec, generate_corpus
 
@@ -64,12 +62,16 @@ def test_build_dataset_labels_every_patch(scene_corpus):
     assert [s.image_index for s in ds.samples] == [0] * 4 + [1] * 4
     corners = [(s.ref.row0, s.ref.col0) for s in ds.samples[:4]]
     assert corners == [(0, 0), (0, 24), (24, 0), (24, 24)]
+    # Each image is estimated at its true kernel's size (7), not the
+    # configured 9, which would need patches of at least 27 px.
+    assert build_dataset(scene_corpus, GRID, EstimatorConfig(kernel_size=9), LABELS).samples == ds.samples
 
 
-def test_build_dataset_jobs_do_not_change_result(scene_corpus):
-    a = build_dataset(scene_corpus, GRID, EST, LABELS, jobs=1)
-    b = build_dataset(scene_corpus, GRID, EST, LABELS, jobs=2)
-    assert a.to_dict() == b.to_dict()
+def test_build_dataset_jobs_do_not_change_result(scene_corpus, tmp_path):
+    a = build_dataset(scene_corpus, GRID, EST, LABELS, tmp_path / "a", jobs=1)
+    b = build_dataset(scene_corpus, GRID, EST, LABELS, tmp_path / "b", jobs=2)
+    assert a.estimator_fingerprint == b.estimator_fingerprint == estimator_fingerprint(EST)
+    assert (tmp_path / "a" / "dataset.json").read_bytes() == (tmp_path / "b" / "dataset.json").read_bytes()
 
 
 def test_flat_corpus_degenerates(flat_corpus):
@@ -104,19 +106,6 @@ def test_dataset_save_load_round_trip(scene_corpus, tmp_path):
     assert len(samples) == 8
 
 
-def test_relabel_reapplies_threshold_without_estimating(scene_corpus):
-    ds = build_dataset(scene_corpus, GRID, EST, LABELS)
-    strict = relabel(ds, LabelConfig(threshold=0.999))
-    lax = relabel(ds, LabelConfig(threshold=1e-9))
-    assert all(s.label == 0 for s in strict.samples if s.similarity < 0.999)
-    for s in lax.samples:
-        if s.status == STATUS_DEGENERATE:
-            assert s.label == 0
-        else:
-            assert s.label == 1
-    assert [s.similarity for s in strict.samples] == [s.similarity for s in ds.samples]
-
-
 def test_class_balance_report_counts_and_warns(flat_corpus):
     ds = build_dataset(flat_corpus, GRID, EST, LABELS)
     with pytest.warns(UserWarning, match="skewed"):
@@ -124,35 +113,6 @@ def test_class_balance_report_counts_and_warns(flat_corpus):
     assert report["total"] == 4
     assert report["positives"] == 0
     assert report["degenerate"] == 4
-
-
-class SizeRecordingEstimator:
-    def __init__(self, size=3):
-        self.size = size
-        self.sizes_requested = []
-
-    def with_kernel_size(self, size):
-        clone = SizeRecordingEstimator(size)
-        clone.sizes_requested = self.sizes_requested
-        self.sizes_requested.append(size)
-        return clone
-
-    def __call__(self, patch):
-        k = Kernel.delta(self.size)
-        return KernelEstimate(kernel=k, degenerate=False, per_level=(k,))
-
-
-def test_custom_estimator_gets_matched_kernel_size(scene_corpus):
-    est = SizeRecordingEstimator()
-    ds = build_dataset(scene_corpus, GRID, EST, LABELS, estimator=est)
-    assert set(est.sizes_requested) == {7}
-    assert ds.estimator_fingerprint != estimator_fingerprint(EST)
-    assert all(s.status == STATUS_OK for s in ds.samples)
-
-
-def test_custom_estimator_runs_in_a_pool_like_the_default(scene_corpus):
-    pooled = build_dataset(scene_corpus, GRID, EST, LABELS, estimator=BlindEstimator(EST), jobs=2)
-    assert pooled.samples == build_dataset(scene_corpus, GRID, EST, LABELS).samples
 
 
 def test_estimator_fingerprint_tracks_config():

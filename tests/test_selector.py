@@ -4,13 +4,12 @@ import pytest
 from regiondeblur.classifier import Conv2d, Dense, GlobalAveragePool, Network
 from regiondeblur.demodata import eval_scene
 from regiondeblur.errors import ValidationError
-from regiondeblur.estimator import KernelEstimate
-from regiondeblur.imagecore import Image, Kernel
+from regiondeblur import selector
+from regiondeblur.imagecore import Image
 from regiondeblur.selector import (
     RankedPatch,
     annotate_selection,
     score_patches,
-    select_and_estimate,
     select_top,
 )
 from regiondeblur.synthesis import PatchGridSpec, PatchRef
@@ -46,20 +45,16 @@ def test_score_patches_ties_rank_row_major():
     assert all(r.score == 0.5 for r in ranked)
 
 
-def test_score_patches_batch_size_changes_nothing_material():
+def test_score_patches_batch_size_changes_nothing_material(monkeypatch):
     # BLAS blocking may shift scores by an ulp, but ranking must hold
     net = seeded_net(seed=3)
     image = eval_scene(64, seed=1)
     grid = PatchGridSpec(patch_size=16, stride=8)
-    small = score_patches(net, image, grid, batch_size=1)
-    large = score_patches(net, image, grid, batch_size=64)
+    large = score_patches(net, image, grid)
+    monkeypatch.setattr(selector, "_BATCH_SIZE", 1)
+    small = score_patches(net, image, grid)
     assert [r.ref for r in small] == [r.ref for r in large]
     assert np.allclose([r.score for r in small], [r.score for r in large], atol=1e-9)
-
-
-def test_score_patches_rejects_bad_batch_size():
-    with pytest.raises(ValidationError):
-        score_patches(seeded_net(), eval_scene(64, seed=2), PatchGridSpec(16, 16), batch_size=0)
 
 
 def test_select_top_truncates_and_validates():
@@ -71,39 +66,6 @@ def test_select_top_truncates_and_validates():
         select_top(ranked, 0)
     with pytest.raises(ValidationError):
         select_top([], 1)
-
-
-class RecordingEstimator:
-    def __init__(self, degenerate=False):
-        self.seen = []
-        self.degenerate = degenerate
-
-    def __call__(self, patch):
-        self.seen.append(patch)
-        k = Kernel.delta(3)
-        return KernelEstimate(kernel=k, degenerate=self.degenerate, per_level=(k,))
-
-
-def test_select_and_estimate_runs_estimator_on_best_patch():
-    net = seeded_net(seed=4)
-    image = eval_scene(64, seed=3)
-    grid = PatchGridSpec(patch_size=16, stride=16)
-    est = RecordingEstimator()
-    selected = select_and_estimate(net, image, grid, est)
-    best = score_patches(net, image, grid)[0]
-    assert selected.patch == best
-    assert len(est.seen) == 1
-    expected = image.pixels[best.ref.row0:best.ref.row0 + 16,
-                            best.ref.col0:best.ref.col0 + 16]
-    assert np.array_equal(est.seen[0].pixels, expected)
-
-
-def test_select_and_estimate_propagates_degenerate_flag():
-    net = seeded_net(seed=5)
-    image = eval_scene(64, seed=4)
-    selected = select_and_estimate(net, image, PatchGridSpec(16, 16),
-                                   RecordingEstimator(degenerate=True))
-    assert selected.estimate.degenerate
 
 
 def test_annotate_selection_burns_border_only():
