@@ -378,12 +378,9 @@ class Network:
 
     def _prepare(self, batch: np.ndarray) -> np.ndarray:
         x = np.asarray(batch, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[None]
-        if x.ndim == 3:
-            x = x[:, None]
-        if x.ndim != 4 or x.shape[1] != 1:
+        if x.ndim != 3:
             raise DimensionError(f"expected (N, side, side) patches, got {x.shape}")
+        x = x[:, None]
         if x.shape[2] != self.input_side or x.shape[3] != self.input_side:
             raise DimensionError(
                 f"patch side {x.shape[2:]} does not match network input side {self.input_side}"

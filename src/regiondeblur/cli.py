@@ -35,7 +35,7 @@ from .errors import (
     RegionDeblurError,
     ValidationError,
 )
-from .estimator import EstimatorConfig, estimate_kernel
+from .estimator import LATENT_REG, EstimatorConfig, estimate_kernel
 from .evaluation import (
     EVAL_METHODS,
     deconvolve,
@@ -156,7 +156,7 @@ _COMMAND_OPTIONS = {
         "out_dir": Option(str, None),
         "patch_size": Option(integer, 0),
         "stride": Option(integer, 20),
-        "latent_reg": Option(number, 2e-3),
+        "latent_reg": Option(number, LATENT_REG),
     },
     "evaluate": {
         "manifest": Option(str, None),

@@ -105,50 +105,3 @@ def random_motion_kernel(side: int = 13, seed: int = 0, steps: int | None = None
         total = 1.0
     return Kernel(blurred / total)
 
-
-def gaussian_kernel(side: int, sigma: float) -> Kernel:
-    """Isotropic Gaussian truncated to an odd square and renormalized."""
-    if side < 1 or side % 2 == 0:
-        raise ValidationError(f"kernel side must be odd, got {side}")
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma!r}")
-    half = side // 2
-    axis = np.arange(-half, half + 1, dtype=np.float64)
-    g = np.exp(-axis ** 2 / (2.0 * sigma ** 2))
-    k = np.outer(g, g)
-    return Kernel(k / k.sum())
-
-
-def linear_motion_kernel(side: int, angle_deg: float, length: float | None = None) -> Kernel:
-    """Straight motion streak through the kernel center."""
-    if side < 3 or side % 2 == 0:
-        raise ValidationError(f"kernel side must be odd and >= 3, got {side}")
-    if length is None:
-        length = side * 0.8
-    if length <= 0:
-        raise ValidationError(f"length must be positive, got {length!r}")
-    theta = np.deg2rad(angle_deg)
-    direction = np.array([np.sin(theta), np.cos(theta)])
-    grid = np.zeros((side, side))
-    center = (side - 1) / 2.0
-    n = max(int(length * 4), 2)
-    for i in range(n):
-        t = (i / (n - 1) - 0.5) * length
-        r = center + t * direction[0]
-        c = center + t * direction[1]
-        if not (0 <= r <= side - 1 and 0 <= c <= side - 1):
-            continue
-        r0, c0 = int(min(r, side - 1.001)), int(min(c, side - 1.001))
-        fr, fc = r - r0, c - c0
-        grid[r0, c0] += (1 - fr) * (1 - fc)
-        if c0 + 1 < side:
-            grid[r0, c0 + 1] += (1 - fr) * fc
-        if r0 + 1 < side:
-            grid[r0 + 1, c0] += fr * (1 - fc)
-        if r0 + 1 < side and c0 + 1 < side:
-            grid[r0 + 1, c0 + 1] += fr * fc
-    total = grid.sum()
-    if total <= 0:
-        grid[side // 2, side // 2] = 1.0
-        total = 1.0
-    return Kernel(grid / total)

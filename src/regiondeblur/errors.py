@@ -22,9 +22,11 @@ class DegenerateInputError(RegionDeblurError):
 
 
 class ParseError(RegionDeblurError):
-    """A file could not be decoded; carries the byte offset where decoding failed."""
+    """A file could not be decoded; carries the message without the offset
+    (`reason`) and the byte offset where decoding failed."""
 
     def __init__(self, message: str, offset: int | None = None):
+        self.reason = message
         self.offset = offset
         if offset is not None:
             message = f"{message} (at byte offset {offset})"

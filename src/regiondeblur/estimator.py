@@ -8,6 +8,12 @@ image with a gradient-penalized Wiener filter. Kernels are upsampled
 bilinearly between levels and re-projected onto the simplex-like constraint
 set (non-negative, small entries zeroed, unit sum).
 
+Callers choose only the kernel size (`EstimatorConfig`). Seven settings are
+fixed module constants, collected in `SETTINGS`: the pyramid ratio between
+levels, the iterations per level, the kernel solve's damping, the latent
+solve's gradient penalty, the fraction of gradients kept, the number of
+shock-filter iterations, and the presmoothing sigma.
+
 Both solves work on real half spectra (rfft2/irfft2). Transforms per call:
 predict_gradients none; solve_kernel five (four forward, one inverse);
 solve_latent five (the kernel's OTF, the edge taper's circular blur forward
@@ -22,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy import ndimage
@@ -36,37 +43,33 @@ _LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 _KERNEL_TAIL_DIVISOR = 20.0
 _COARSEST_KERNEL_SIDE = 5
 
+# Each setting is written once; labeling hashes them, with the kernel size,
+# into a dataset's estimator fingerprint.
+SETTINGS = MappingProxyType({
+    "pyramid_ratio": 1.0 / math.sqrt(2.0),
+    "iterations_per_level": 5,
+    "kernel_reg": 5.0,
+    "latent_reg": 2e-3,
+    "gradient_keep_ratio": 0.10,
+    "shock_iterations": 2,
+    "presmooth_sigma": 1.0,
+})
+PYRAMID_RATIO = SETTINGS["pyramid_ratio"]
+ITERATIONS_PER_LEVEL = SETTINGS["iterations_per_level"]
+KERNEL_REG = SETTINGS["kernel_reg"]
+LATENT_REG = SETTINGS["latent_reg"]
+GRADIENT_KEEP_RATIO = SETTINGS["gradient_keep_ratio"]
+SHOCK_ITERATIONS = SETTINGS["shock_iterations"]
+PRESMOOTH_SIGMA = SETTINGS["presmooth_sigma"]
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     kernel_size: int
-    pyramid_ratio: float = 1.0 / math.sqrt(2.0)
-    iterations_per_level: int = 5
-    kernel_reg: float = 5.0
-    latent_reg: float = 2e-3
-    gradient_keep_ratio: float = 0.10
-    shock_iterations: int = 2
-    presmooth_sigma: float = 1.0
 
     def __post_init__(self):
         if self.kernel_size < 3 or self.kernel_size % 2 == 0:
             raise ValidationError(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
-        if not (0.0 < self.pyramid_ratio < 1.0):
-            raise ValidationError(f"pyramid_ratio must lie in (0, 1), got {self.pyramid_ratio!r}")
-        if self.iterations_per_level < 1:
-            raise ValidationError(f"iterations_per_level must be >= 1, got {self.iterations_per_level}")
-        if not (self.kernel_reg > 0):
-            raise ValidationError(f"kernel_reg must be positive, got {self.kernel_reg!r}")
-        if not (self.latent_reg > 0):
-            raise ValidationError(f"latent_reg must be positive, got {self.latent_reg!r}")
-        if not (0.0 < self.gradient_keep_ratio <= 1.0):
-            raise ValidationError(
-                f"gradient_keep_ratio must lie in (0, 1], got {self.gradient_keep_ratio!r}"
-            )
-        if self.shock_iterations < 0:
-            raise ValidationError(f"shock_iterations must be >= 0, got {self.shock_iterations}")
-        if self.presmooth_sigma < 0:
-            raise ValidationError(f"presmooth_sigma must be >= 0, got {self.presmooth_sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -97,11 +100,11 @@ def build_pyramid(blurred: Image, cfg: EstimatorConfig) -> tuple[PyramidLevel, .
             f"image dims {blurred.shape} must be at least 3x the kernel size {cfg.kernel_size}"
         )
     n = 1
-    while cfg.kernel_size * cfg.pyramid_ratio ** (n - 1) > _COARSEST_KERNEL_SIDE:
+    while cfg.kernel_size * PYRAMID_RATIO ** (n - 1) > _COARSEST_KERNEL_SIDE:
         n += 1
     levels = []
     for idx in range(n):
-        scale = cfg.pyramid_ratio ** (n - 1 - idx)
+        scale = PYRAMID_RATIO ** (n - 1 - idx)
         size = _nearest_odd(cfg.kernel_size * scale)
         img = blurred if scale == 1.0 else resample(blurred, scale)
         levels.append(PyramidLevel(image=img, kernel_size=size, scale=scale))
@@ -122,17 +125,15 @@ def _shock_step(arr: np.ndarray) -> np.ndarray:
     return arr - np.sign(lap) * np.hypot(gx, gy) * _SHOCK_DT
 
 
-def predict_gradients(latent: Image, cfg: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
+def predict_gradients(latent: Image) -> tuple[np.ndarray, np.ndarray]:
     """Salient forward-difference gradients of the shock-sharpened latent image."""
-    arr = latent.pixels
-    if cfg.presmooth_sigma > 0:
-        arr = ndimage.gaussian_filter(arr, cfg.presmooth_sigma, mode="nearest")
-    for _ in range(cfg.shock_iterations):
+    arr = ndimage.gaussian_filter(latent.pixels, PRESMOOTH_SIGMA, mode="nearest")
+    for _ in range(SHOCK_ITERATIONS):
         arr = _shock_step(arr)
     gx, gy = _forward_diff(arr)
     mag = np.hypot(gx, gy)
     n = mag.size
-    keep = max(1, int(math.floor(cfg.gradient_keep_ratio * n)))
+    keep = max(1, int(math.floor(GRADIENT_KEEP_RATIO * n)))
     threshold = np.partition(mag.ravel(), n - keep)[n - keep]
     mask = (mag >= threshold) & (mag > 0)
     return gx * mask, gy * mask
@@ -153,7 +154,7 @@ def solve_kernel(
     grad_latent: tuple[np.ndarray, np.ndarray],
     grad_blurred: tuple[np.ndarray, np.ndarray],
     size: int,
-    reg: float = 5.0,
+    reg: float = KERNEL_REG,
 ) -> Kernel:
     """Least-squares kernel in the frequency domain, cropped and projected."""
     gx_s, gy_s = (np.asarray(g, dtype=np.float64) for g in grad_latent)
@@ -176,7 +177,7 @@ def solve_kernel(
     return project_kernel(block)
 
 
-def solve_latent(blurred: Image, k: Kernel, reg: float = 2e-3) -> Image:
+def solve_latent(blurred: Image, k: Kernel, reg: float = LATENT_REG) -> Image:
     """Gradient-penalized Wiener deconvolution with edge-tapered boundaries."""
     if not (reg > 0):
         raise ValidationError(f"reg must be positive, got {reg!r}")
@@ -254,13 +255,13 @@ def estimate_kernel(blurred: Image, cfg: EstimatorConfig) -> KernelEstimate:
         else:
             current = _upsample_kernel(kernel, level.kernel_size)
         solved = False
-        for iteration in range(cfg.iterations_per_level):
+        for iteration in range(ITERATIONS_PER_LEVEL):
             if kernel is not None or iteration > 0:
-                latent = Image(np.clip(solve_latent(level.image, current, cfg.latent_reg).pixels, 0.0, 1.0))
-            gx_s, gy_s = predict_gradients(latent, cfg)
+                latent = Image(np.clip(solve_latent(level.image, current).pixels, 0.0, 1.0))
+            gx_s, gy_s = predict_gradients(latent)
             gx_s, gy_s = gx_s * window, gy_s * window
             try:
-                current = solve_kernel((gx_s, gy_s), (gx_b, gy_b), level.kernel_size, cfg.kernel_reg)
+                current = solve_kernel((gx_s, gy_s), (gx_b, gy_b), level.kernel_size)
                 solved = True
             except DegenerateInputError:
                 pass

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DimensionError, RegionDeblurError, ValidationError
-from .estimator import EstimatorConfig, estimate_kernel, solve_latent
+from .estimator import LATENT_REG, EstimatorConfig, estimate_kernel, solve_latent
 from .imagecore import Image, Kernel, read_image, read_kernel
 from .kernelsim import kernel_similarity
 from .selector import score_patches, select_top
@@ -232,7 +232,7 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
         true_kernel = read_kernel(manifest.resolve(entry.kernel_path))
         cfg = replace(est_cfg, kernel_size=true_kernel.side_h)
         margin = true_kernel.side_h // 2
-        baseline = deconvolve(blurred, true_kernel, cfg.latent_reg)
+        baseline = deconvolve(blurred, true_kernel, LATENT_REG)
         baseline = align_to_reference(baseline, sharp, margin, margin)
 
         for method in methods:
@@ -274,7 +274,7 @@ def _run_method(method, image_id, index, blurred, sharp, true_kernel,
         patch_row, patch_col = ref.row0, ref.col0
         estimate = estimate_kernel(extract(blurred, ref), cfg)
 
-    recovered = deconvolve(blurred, estimate.kernel, cfg.latent_reg)
+    recovered = deconvolve(blurred, estimate.kernel, LATENT_REG)
     recovered = align_to_reference(recovered, sharp, margin, margin)
     ratio = error_ratio(recovered, sharp, baseline, margin)
     sim = kernel_similarity(estimate.kernel, true_kernel).value

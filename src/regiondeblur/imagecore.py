@@ -327,10 +327,13 @@ def read_image(path) -> Image:
     """Read a PGM or PFM file, dispatching on the magic bytes."""
     data = Path(path).read_bytes()
     magic = data[:2]
-    if magic == b"P5":
-        return decode_pgm(data)
-    if magic in (b"Pf", b"PF"):
-        return decode_pfm(data)
+    try:
+        if magic == b"P5":
+            return decode_pgm(data)
+        if magic in (b"Pf", b"PF"):
+            return decode_pfm(data)
+    except ParseError as exc:
+        raise ParseError(f"{exc.reason} in {path}", offset=exc.offset) from None
     raise ParseError(f"unrecognized image magic {magic!r} in {path}", offset=0)
 
 
@@ -381,17 +384,16 @@ def read_kernel(path) -> Kernel:
             raise ParseError(f"bad kernel weight {tok!r} in {path}", offset=off)
         values.append(value)
     arr = np.array(values).reshape(side_h, side_w)
-    if side_h % 2 == 0 or side_w % 2 == 0:
-        raise ValidationError(f"kernel sides must be odd, got {side_h}x{side_w} in {path}")
-    if np.any(arr < 0):
-        raise ValidationError(f"kernel weights must be non-negative in {path}")
     total = float(arr.sum())
     if abs(total - 1.0) > KERNEL_FILE_SUM_TOL:
-        raise ValidationError(f"kernel weights sum to {total!r} in {path}, expected 1")
+        raise ParseError(f"kernel weights sum to {total!r} in {path}, expected 1", offset=body[0][1])
     if abs(total - 1.0) > KERNEL_SUM_TOL:
         # Text roundoff gate passed; snap the tiny residual so the invariant holds.
         arr = arr / total
-    return Kernel(arr)
+    try:
+        return Kernel(arr)
+    except ValidationError as exc:  # an even side or a negative weight
+        raise ParseError(f"{exc} in {path}", offset=spans[0][1]) from None
 
 
 def write_kernel(k: Kernel, path) -> None:

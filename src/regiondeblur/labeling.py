@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .classifier import TrainingSample
 from .errors import ParseError, ValidationError
-from .estimator import EstimatorConfig, estimate_kernel
+from .estimator import SETTINGS, EstimatorConfig, estimate_kernel
 from .imagecore import read_image, read_kernel, write_image
 from .kernelsim import LabelConfig, kernel_similarity, label
 from .synthesis import (
@@ -121,7 +121,7 @@ class LabeledDataset:
 
 
 def estimator_fingerprint(cfg: EstimatorConfig) -> str:
-    blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
+    blob = json.dumps({**SETTINGS, **asdict(cfg)}, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -13,6 +13,7 @@ from .synthesis import PatchGridSpec, PatchRef, extract, patch_grid
 
 # Patches extracted and scored per forward_batch call.
 _BATCH_SIZE = 64
+_BORDER = 3
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,13 @@ def select_top(ranked: list[RankedPatch], k: int = 1) -> list[RankedPatch]:
     return list(ranked[:k])
 
 
-def annotate_selection(image: Image, ref: PatchRef, border: int = 3) -> Image:
-    """Burn a solid border of the given width around the patch into a copy."""
-    if border < 1:
-        raise ValidationError(f"border must be positive, got {border}")
+def annotate_selection(image: Image, ref: PatchRef) -> Image:
+    """Burn a solid border `_BORDER` pixels wide around the patch into a copy."""
     px = np.array(image.pixels)
     r0, c0, s = ref.row0, ref.col0, ref.size
     if r0 < 0 or c0 < 0 or r0 + s > px.shape[0] or c0 + s > px.shape[1]:
         raise ValidationError(f"patch {ref} falls outside a {px.shape} image")
-    b = min(border, s // 2) or 1
+    b = min(_BORDER, s // 2) or 1
     px[r0:r0 + b, c0:c0 + s] = 1.0
     px[r0 + s - b:r0 + s, c0:c0 + s] = 1.0
     px[r0:r0 + s, c0:c0 + b] = 1.0

@@ -16,7 +16,7 @@ from regiondeblur.cli import (
 )
 from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel
 from regiondeblur.errors import ValidationError
-from regiondeblur.estimator import EstimatorConfig, estimate_kernel
+from regiondeblur.estimator import LATENT_REG, EstimatorConfig, estimate_kernel
 from regiondeblur.evaluation import EVAL_CSV_HEADER, deconvolve
 from regiondeblur.imagecore import Kernel, encode_pfm, read_image, write_image, write_kernel
 from regiondeblur.synthesis import PatchRef, extract
@@ -137,7 +137,7 @@ def test_deblur_outputs(pipeline, tmp_path, capsys):
     kernel = estimate_kernel(extract(blurred, ref), EstimatorConfig(kernel_size=7)).kernel
     write_kernel(kernel, tmp_path / "expected.txt")
     assert (out / "kernel.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
-    latent = deconvolve(blurred, kernel, 2e-3)
+    latent = deconvolve(blurred, kernel, LATENT_REG)
     assert (out / "deblurred.pfm").read_bytes() == encode_pfm(latent)
 
 
@@ -364,7 +364,11 @@ def test_dataset_row_outside_the_manifest_is_a_format_error(tmp_path, capsys, in
     ("k.txt", b"1 1\nnan\n"),
     ("a.pfm", b"Pf\n1 1\n-1.0\n" + np.array([np.nan], dtype="<f4").tobytes()),
     ("a.pfm", b"Pf\n1 1\nnan\n" + np.array([0.5], dtype="<f4").tobytes()),
-], ids=["kernel-non-ascii", "kernel-nan", "pfm-nan-pixel", "pfm-nan-scale"])
+    ("k.txt", b"2 2\n0.25 0.25\n0.25 0.25\n"),
+    ("k.txt", b"1 3\n-0.5 1.0 0.5\n"),
+    ("k.txt", b"1 1\n1.002\n"),
+], ids=["kernel-non-ascii", "kernel-nan", "pfm-nan-pixel", "pfm-nan-scale",
+        "kernel-even-side", "kernel-negative-weight", "kernel-sum-off-one"])
 def test_malformed_image_or_kernel_file_is_a_format_error(tmp_path, capsys, name, data):
     sharp, kernels = tmp_path / "sharp", tmp_path / "kernels"
     sharp.mkdir()
@@ -377,7 +381,9 @@ def test_malformed_image_or_kernel_file_is_a_format_error(tmp_path, capsys, name
         "--out-dir", str(tmp_path / "out"), "--jobs", "1",
     ])
     assert code == EXIT_FORMAT
-    assert "offset" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "offset" in err
+    assert name in err
 
 
 def test_even_kernel_size_is_a_validation_error(pipeline, tmp_path, capsys):

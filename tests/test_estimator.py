@@ -36,11 +36,6 @@ def test_config_rejects_even_kernel_size():
         EstimatorConfig(kernel_size=10)
 
 
-def test_config_rejects_ratio_outside_unit_interval():
-    with pytest.raises(ValidationError):
-        EstimatorConfig(kernel_size=9, pyramid_ratio=1.5)
-
-
 def test_pyramid_schedule_for_size_27():
     img = Image(np.random.default_rng(0).uniform(0, 1, (96, 96)))
     pyr = build_pyramid(img, EstimatorConfig(kernel_size=27))
@@ -72,7 +67,7 @@ def test_pyramid_rejects_kernel_too_large_for_image():
 def test_predict_gradients_concentrate_on_step_edge():
     px = np.full((64, 64), 0.2)
     px[:, 32:] = 0.8
-    gx, gy = predict_gradients(Image(px), EstimatorConfig(kernel_size=9))
+    gx, gy = predict_gradients(Image(px))
     nz_cols = np.unique(np.nonzero(gx)[1])
     assert len(nz_cols) > 0
     assert nz_cols.min() >= 26 and nz_cols.max() <= 38
@@ -80,7 +75,7 @@ def test_predict_gradients_concentrate_on_step_edge():
 
 
 def test_predict_gradients_flat_image_is_all_zero():
-    gx, gy = predict_gradients(Image(np.full((32, 32), 0.7)), EstimatorConfig(kernel_size=9))
+    gx, gy = predict_gradients(Image(np.full((32, 32), 0.7)))
     assert not np.any(gx)
     assert not np.any(gy)
 

@@ -354,21 +354,21 @@ def test_kernel_file_rejects_large_deviation(tmp_path):
     lines = ["3 3"] + [" ".join(f"{v:.12g}" for v in row) for row in weights]
     path = tmp_path / "k.txt"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError):
         read_kernel(path)
 
 
 def test_kernel_file_rejects_even_side(tmp_path):
     path = tmp_path / "k.txt"
     path.write_text("2 2\n0.25 0.25\n0.25 0.25\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError):
         read_kernel(path)
 
 
 def test_kernel_file_rejects_negative_weight(tmp_path):
     path = tmp_path / "k.txt"
     path.write_text("1 3\n-0.5 1.0 0.5\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError):
         read_kernel(path)
 
 

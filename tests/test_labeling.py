@@ -122,6 +122,10 @@ def test_estimator_fingerprint_tracks_config():
     assert a == b
     assert a != c
     assert len(a) == 16
+    # Pinned: a changed setting or a renamed key would change every dataset.json.
+    assert a == "a68a4449c252ed14"
+    assert estimator_fingerprint(EstimatorConfig(kernel_size=13)) == "e7795b9e95993aa9"
+    assert estimator_fingerprint(EstimatorConfig(kernel_size=27)) == "236714d47cd048e4"
 
 
 def test_build_dataset_rejects_empty_manifest():
