@@ -392,25 +392,22 @@ class Network:
         return x
 
     def logits(self, batch: np.ndarray, tape: list | None = None) -> np.ndarray:
-        """One logit per patch. With a tape every layer sees the whole batch.
-        Without one, the trunk runs on tiles of about `_TILE_PIXELS` input
-        pixels and the head on the stacked pooled features, so memory stays
-        bounded per tile and every logit is bit-identical to the taped pass."""
+        """One logit per patch. The trunk runs on tiles and the head on the
+        stacked pooled features. Without a tape a tile holds about
+        `_TILE_PIXELS` input pixels, so memory stays bounded per tile; with
+        one the whole batch is a single tile, so the tape records each layer
+        once. Every logit is bit-identical either way."""
         x = self._prepare(batch)
-        if tape is not None:
-            for layer in self.layers:
-                x = layer.forward(x, tape)
-            return x.reshape(-1)
-        tile = max(1, _TILE_PIXELS // self.input_side ** 2)
+        tile = max(1, _TILE_PIXELS // self.input_side ** 2 if tape is None else len(x))
         pooled = []
         for start in range(0, max(len(x), 1), tile):  # an empty batch is one empty tile
             y = x[start:start + tile]
             for layer in self.layers[:self._trunk_end]:
-                y = layer.forward(y)
+                y = layer.forward(y, tape)
             pooled.append(y)
         x = np.concatenate(pooled)
         for layer in self.layers[self._trunk_end:]:
-            x = layer.forward(x)
+            x = layer.forward(x, tape)
         return x.reshape(-1)
 
     def backward(self, tape: list, dlogits: np.ndarray) -> None:
@@ -520,7 +517,6 @@ class TrainConfig:
 class TrainingSample:
     patch: Image
     label: int
-    similarity: float = 0.0
 
     def __post_init__(self):
         if self.label not in (0, 1):

@@ -53,7 +53,14 @@ from .labeling import (
     load_training_samples,
 )
 from .selector import annotate_selection, score_patches, select_top
-from .synthesis import CorpusManifest, NoiseModel, PatchGridSpec, extract, generate_corpus
+from .synthesis import (
+    CorpusManifest,
+    NoiseModel,
+    PatchGridSpec,
+    extract,
+    generate_corpus,
+    write_json,
+)
 
 JOBS_ENV_VAR = "REGIONDEBLUR_JOBS"
 
@@ -74,15 +81,6 @@ def _default_jobs() -> int:
 
 # The option converters. Each takes a flag's string or a config file's JSON
 # value, and argparse names it in its error message ("invalid integer value").
-
-def boolean(value) -> bool:
-    """Accept a JSON boolean or the strings "true"/"false"; reject anything else."""
-    if isinstance(value, bool):
-        return value
-    if value in ("true", "false"):
-        return value == "true"
-    raise ValueError(f"expected true or false, got {value!r}")
-
 
 def integer(value) -> int:
     """An integer or its decimal string; an integral float is accepted, a boolean is not."""
@@ -128,7 +126,6 @@ _COMMAND_OPTIONS = {
         "threshold": Option(number, 0.75, "similarity threshold separating good from bad patches",
                             flag="--lambda"),
         "jobs": Option(integer, _default_jobs),
-        "store_patches": Option(boolean, False),
     },
     "train": {
         "dataset": Option(str, None),
@@ -213,9 +210,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
 def _echo_config(command: str, options: dict, out_dir: Path) -> None:
     payload = {"command": command, "options": options}
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run_config.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "run_config.json", payload)
 
 
 def _cmd_synthesize(opts: dict) -> int:
@@ -235,10 +230,7 @@ def _cmd_label(opts: dict) -> int:
     est_cfg = EstimatorConfig(kernel_size=opts["kernel_size"])
     label_cfg = LabelConfig(threshold=opts["threshold"])
     out_dir = Path(opts["out_dir"])
-    dataset = build_dataset(
-        manifest, grid, est_cfg, label_cfg, out_dir,
-        store_patches=opts["store_patches"], jobs=opts["jobs"],
-    )
+    dataset = build_dataset(manifest, grid, est_cfg, label_cfg, out_dir, jobs=opts["jobs"])
     _echo_config("label", opts, out_dir)
     report = class_balance_report(dataset)
     print(
@@ -291,7 +283,7 @@ def _cmd_select(opts: dict) -> int:
              "score": rp.score}
             for rp in ranked
         ]
-        Path(opts["out_json"]).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        write_json(opts["out_json"], rows)
     if opts["out_annotated"]:
         write_image(annotate_selection(image, ranked[0].ref), opts["out_annotated"])
     return EXIT_OK
@@ -379,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = subparsers.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with option defaults for this command")
         for name, opt in _COMMAND_OPTIONS[command].items():
-            # A boolean flag given alone means true; it also takes an explicit value.
-            extra = {"nargs": "?", "const": True} if opt.conv is boolean else {}
-            p.add_argument(_flag(name, opt), dest=name, type=opt.conv, help=opt.help, **extra)
+            p.add_argument(_flag(name, opt), dest=name, type=opt.conv, help=opt.help)
         p.set_defaults(func=func)
     return parser
 

@@ -1,10 +1,10 @@
 """Produce labeled training patches from a synthetic blur corpus.
 
-Every grid patch of every blurred image is pushed through a kernel
+Every grid patch of every blurred image is pushed through the blind kernel
 estimator; the similarity between the estimated and true kernels decides the
-patch label. Datasets serialize to a JSON index whose paths are relative to
-the index file, with the patches themselves stored either as references back
-into the corpus or as standalone float images.
+patch label. A dataset is a JSON index of patch references (image index,
+corner, side) into the corpus named by its manifest path, which is relative
+to the index file; training cuts the patches out of the blurred images.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .classifier import TrainingSample
-from .errors import ParseError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError
 from .estimator import SETTINGS, EstimatorConfig, estimate_kernel
-from .imagecore import read_image, read_kernel, write_image
+from .imagecore import read_image, read_kernel
 from .kernelsim import LabelConfig, kernel_similarity, label
 from .synthesis import (
     CorpusManifest,
@@ -30,16 +30,16 @@ from .synthesis import (
     patch_grid,
     read_json,
     typed_fields,
+    write_json,
 )
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
 
 _DATASET_TYPES = {"samples": (list,), "threshold": (int, float), "estimator_fingerprint": (str,),
-                  "storage": (str,), "manifest_path": (str, type(None))}
+                  "manifest_path": (str,)}
 _ROW_TYPES = {"image_id": (str,), "image_index": (int,), "row0": (int,), "col0": (int,),
-              "size": (int,), "similarity": (int, float), "label": (int,), "status": (str,),
-              "patch_path": (str, type(None))}
+              "size": (int,), "similarity": (int, float), "label": (int,), "status": (str,)}
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class LabeledSample:
     similarity: float
     label: int
     status: str
-    patch_path: str | None = None
 
     def __post_init__(self):
         if self.label not in (0, 1):
@@ -59,42 +58,30 @@ class LabeledSample:
 
 @dataclass
 class LabeledDataset:
-    """Labeled patches plus enough provenance to rebuild or reload them."""
+    """Labeled patch references plus enough provenance to rebuild or reload them."""
 
     samples: tuple[LabeledSample, ...]
     threshold: float
     estimator_fingerprint: str
-    storage: str = "refs"
     manifest_path: str | None = None
     base_dir: Path | None = None
-
-    def __post_init__(self):
-        if self.storage not in ("refs", "patches"):
-            raise ValidationError(f"storage must be 'refs' or 'patches', got {self.storage!r}")
-        if self.storage == "patches":
-            for s in self.samples:
-                if s.patch_path is None:
-                    raise ValidationError(f"sample {s.image_id} has no stored patch")
 
     def to_dict(self) -> dict:
         rows = []
         for s in self.samples:
             row = asdict(s)
             row.update(row.pop("ref"))
-            if s.patch_path is None:
-                del row["patch_path"]
             rows.append(row)
         return {
             "threshold": self.threshold,
             "estimator_fingerprint": self.estimator_fingerprint,
-            "storage": self.storage,
             "manifest_path": self.manifest_path,
             "samples": rows,
         }
 
     def save(self, path) -> None:
         path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
         self.base_dir = path.parent
 
     @staticmethod
@@ -112,7 +99,6 @@ class LabeledDataset:
                 samples=tuple(samples),
                 threshold=raw["threshold"],
                 estimator_fingerprint=raw["estimator_fingerprint"],
-                storage=raw["storage"],
                 manifest_path=raw["manifest_path"],
                 base_dir=path.parent,
             )
@@ -144,41 +130,29 @@ def _label_one_image(task):
 
 def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
                   est_cfg: EstimatorConfig, label_cfg: LabelConfig,
-                  out_dir=None, *, store_patches: bool = False, jobs: int = 1) -> LabeledDataset:
+                  out_dir=None, *, jobs: int = 1) -> LabeledDataset:
     """Label every patch of every corpus image against its true kernel.
 
     Images are labeled in ``jobs`` worker processes (``jobs`` must be >= 1;
     1 runs in-process) and reassembled in manifest order, so the dataset is
     identical for any job count. Each image is estimated at its true
-    kernel's size; ``est_cfg`` supplies every other estimator setting.
+    kernel's size; ``est_cfg`` only enters the estimator fingerprint. With
+    ``out_dir`` the index is saved there as ``dataset.json``; its manifest
+    path points at the manifest's file if the manifest was loaded or saved.
     """
     if not manifest.entries:
         raise ValidationError("corpus manifest has no entries")
-    if store_patches and out_dir is None:
-        raise ValidationError("store_patches requires an output directory")
     tasks = [
         (manifest.resolve(e.blurred_path), manifest.resolve(e.kernel_path), grid, est_cfg)
         for e in manifest.entries
     ]
     results = map_jobs(_label_one_image, tasks, jobs)
 
-    out_dir = Path(out_dir) if out_dir is not None else None
-    patch_dir = None
-    if store_patches:
-        patch_dir = out_dir / "patches"
-        patch_dir.mkdir(parents=True, exist_ok=True)
-
     samples = []
     for index, (entry, rows) in enumerate(zip(manifest.entries, results)):
         image_id = Path(entry.blurred_path).stem
-        blurred = read_image(manifest.resolve(entry.blurred_path)) if store_patches else None
         for ref, sim, status in rows:
             lab = 0 if status == STATUS_DEGENERATE else label(sim, label_cfg)
-            patch_path = None
-            if store_patches:
-                name = f"{image_id}_r{ref.row0}_c{ref.col0}.pfm"
-                write_image(extract(blurred, ref), patch_dir / name)
-                patch_path = f"patches/{name}"
             samples.append(LabeledSample(
                 image_id=image_id,
                 image_index=index,
@@ -186,18 +160,15 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
                 similarity=sim,
                 label=lab,
                 status=status,
-                patch_path=patch_path,
             ))
 
     dataset = LabeledDataset(
         samples=tuple(samples),
         threshold=label_cfg.threshold,
         estimator_fingerprint=estimator_fingerprint(est_cfg),
-        storage="patches" if store_patches else "refs",
-        manifest_path=None,
-        base_dir=out_dir,
     )
     if out_dir is not None:
+        out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if manifest.base_dir is not None:
             dataset.manifest_path = os.path.relpath(manifest.base_dir / "manifest.json", out_dir)
@@ -227,27 +198,27 @@ def class_balance_report(dataset: LabeledDataset) -> dict:
     return report
 
 
-def load_training_samples(dataset: LabeledDataset, manifest: CorpusManifest | None = None):
-    """Materialize dataset rows as in-memory training samples."""
+def load_training_samples(dataset: LabeledDataset) -> list[TrainingSample]:
+    """Cut every dataset row's patch out of its blurred corpus image. A row
+    naming an image the manifest lacks, or a patch that does not fit its
+    image, is a ParseError naming the dataset and the row."""
+    if dataset.manifest_path is None:
+        raise ValidationError("dataset has no corpus manifest to load patches from")
     base = dataset.base_dir if dataset.base_dir is not None else Path(".")
-    out: list[TrainingSample] = []
-    if dataset.storage == "patches":
-        for s in dataset.samples:
-            patch = read_image(base / s.patch_path)
-            out.append(TrainingSample(patch=patch, label=s.label, similarity=s.similarity))
-        return out
-    if manifest is None:
-        if dataset.manifest_path is None:
-            raise ValidationError("reference dataset needs a corpus manifest to load patches")
-        manifest = CorpusManifest.load(base / dataset.manifest_path)
-    cache: dict[int, object] = {}
-    for s in dataset.samples:
-        if s.image_index not in cache:
+    manifest = CorpusManifest.load(base / dataset.manifest_path)
+    images = {}
+    out = []
+    for i, s in enumerate(dataset.samples):
+        where = f"dataset in {base} row {i}"
+        if s.image_index not in images:
             if not 0 <= s.image_index < len(manifest.entries):
-                raise ParseError(f"dataset in {base} names image {s.image_index}, but the manifest "
+                raise ParseError(f"{where} names image {s.image_index}, but the manifest "
                                  f"in {manifest.base_dir} has {len(manifest.entries)} entries")
             entry = manifest.entries[s.image_index]
-            cache[s.image_index] = read_image(manifest.resolve(entry.blurred_path))
-        patch = extract(cache[s.image_index], s.ref)
-        out.append(TrainingSample(patch=patch, label=s.label, similarity=s.similarity))
+            images[s.image_index] = read_image(manifest.resolve(entry.blurred_path))
+        try:
+            patch = extract(images[s.image_index], s.ref)
+        except DimensionError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+        out.append(TrainingSample(patch=patch, label=s.label))
     return out

@@ -97,6 +97,11 @@ def read_json(path: Path, what: str):
         raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+def write_json(path, value) -> None:
+    """Write `value` as canonical JSON: sorted keys, two-space indent, final newline."""
+    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
 def typed_fields(record, types: dict[str, tuple[type, ...]], what: str) -> dict:
     """The named fields of a decoded JSON object, each of one of its listed
     types (a bool is no number); a field whose types include NoneType may be
@@ -145,7 +150,7 @@ class CorpusManifest:
 
     def save(self, path) -> None:
         path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
         self.base_dir = path.parent
 
     @staticmethod

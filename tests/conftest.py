@@ -96,8 +96,7 @@ def acceptance_dataset():
         samples.append({"patch": blurred, "similarity": sim, "kind": kind})
     threshold = float(np.median([s["similarity"] for s in samples]))
     labeled = [
-        TrainingSample(patch=s["patch"], label=int(s["similarity"] >= threshold),
-                       similarity=s["similarity"])
+        TrainingSample(patch=s["patch"], label=int(s["similarity"] >= threshold))
         for s in samples
     ]
     FIXTURE_SECONDS["acceptance_dataset"] = time.perf_counter() - t0

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from regiondeblur.cli import (
     EXIT_FORMAT,
@@ -209,21 +210,10 @@ def test_malformed_config_json_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, config, flags, expected", [
-    ("label", {"store_patches": True}, [], True),
-    ("label", {"store_patches": False}, [], False),
-    ("label", {"store_patches": "true"}, [], True),
-    ("label", {"store_patches": "false"}, [], False),
-    ("label", {}, [], False),
-    ("label", {}, ["--store-patches"], True),
-    ("label", {"store_patches": "false"}, ["--store-patches"], True),
-    ("label", {"store_patches": True}, ["--store-patches", "false"], False),
-    ("label", {"store_patches": "yes"}, [], None),
-    ("label", {"store_patches": 1}, [], None),
     ("synthesize", {"sigma": "abc"}, [], None),
     ("synthesize", {"seed": None}, [], None),
     ("synthesize", {"out_dir": None}, [], None),
     ("label", {"manifest": None}, [], None),
-    ("label", {"store_patches": None}, [], None),
     ("synthesize", {"jobs": 2.0}, [], 2),
     ("synthesize", {"jobs": 1.7}, [], None),
     ("synthesize", {"jobs": True}, [], None),
@@ -248,7 +238,7 @@ def test_option_values_go_through_their_converter(tmp_path, capsys, command, con
         "train": ["--dataset", "d.json"],
     }[command]
     argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *required, *flags]
-    key = next(iter(config), flags[0][2:].replace("-", "_") if flags else "store_patches")
+    key = next(iter(config)) if config else flags[0][2:].replace("-", "_")
     if expected is None:
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
@@ -305,16 +295,16 @@ def test_malformed_model_header_is_a_format_error(malformed_model, tmp_path, cap
     assert str(malformed_model) in capsys.readouterr().err
 
 
-_DATASET_HEAD = '"threshold": 0.5, "estimator_fingerprint": "x", "storage": "index"'
+_DATASET_HEAD = '"threshold": 0.5, "estimator_fingerprint": "x", "manifest_path": "manifest.json"'
 _ENTRY = '{"sharp_path": "a.pgm", "kernel_path": "k.txt", "blurred_path": "b.pfm", "sigma": 1, "seed": 0}'
 _ROW = ('{"image_id": "b", "image_index": 0, "row0": 0, "col0": 0, "size": 8, '
         '"similarity": 0.5, "label": 1, "status": "ok"}')
 
 
 def _dataset(row: str) -> str:
-    """A reference dataset whose manifest is manifest.json beside it, holding `row`."""
-    return ('{"threshold": 0.5, "estimator_fingerprint": "x", "storage": "refs", '
-            '"manifest_path": "manifest.json", "samples": [' + row + ']}')
+    """A dataset whose manifest is manifest.json beside it, holding `row`. It
+    keeps the `storage` key that earlier versions wrote and the reader ignores."""
+    return '{' + _DATASET_HEAD + ', "storage": "refs", "samples": [' + row + ']}'
 
 
 @pytest.mark.parametrize("command, text", [
@@ -334,11 +324,11 @@ def _dataset(row: str) -> str:
     ("train", _dataset(_ROW.replace('"image_index": 0', '"image_index": "0"'))),
     ("train", _dataset(_ROW.replace('"label": 1', '"label": true'))),
     ("train", _dataset(_ROW.replace('"row0": 0', '"row0": 0.5'))),
-    ("train", '{' + _DATASET_HEAD + ', "samples": [' + _ROW + ']}'),
     ("train", _dataset(_ROW.replace('"row0": 0', '"row0": -1'))),
     ("train", _dataset(_ROW.replace('"size": 8', '"size": 0'))),
     ("train", _dataset(_ROW.replace('"label": 1', '"label": 2'))),
-    ("train", _dataset(_ROW).replace('"refs"', '"patches"')),
+    ("train", _dataset(_ROW).replace('"manifest_path": "manifest.json", ', '')),
+    ("train", _dataset(_ROW).replace('"manifest.json"', 'null')),
 ])
 def test_malformed_manifest_or_dataset_is_a_format_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
@@ -349,14 +339,69 @@ def test_malformed_manifest_or_dataset_is_a_format_error(tmp_path, capsys, comma
     assert str(path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("index", [1, -1])
-def test_dataset_row_outside_the_manifest_is_a_format_error(tmp_path, capsys, index):
+@pytest.mark.parametrize("old, new", [
+    ('"image_index": 0', '"image_index": 1'),
+    ('"image_index": 0', '"image_index": -1'),
+    ('"col0": 0', '"col0": 9'),
+    ('"row0": 0', '"row0": 90'),
+    ('"size": 8', '"size": 500'),
+], ids=["1", "-1", "col0-9", "row0-90", "size-500"])
+def test_dataset_row_outside_the_manifest_is_a_format_error(tmp_path, capsys, old, new):
+    """A row naming an image the manifest lacks, or a patch that does not fit
+    its 16 px image, exits 3 naming the dataset and the row."""
     (tmp_path / "manifest.json").write_text('{"entries": [' + _ENTRY + ']}')
     write_image(flat_patch(16, 0.5), tmp_path / "b.pfm")
     path = tmp_path / "input.json"
-    path.write_text(_dataset(_ROW.replace('"image_index": 0', f'"image_index": {index}')))
-    assert main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_FORMAT
-    assert str(tmp_path) in capsys.readouterr().err
+    path.write_text(_dataset(_ROW + ", " + _ROW.replace(old, new)))
+    assert main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "out"),
+                 "--batch-size", "1"]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "row 1" in err
+
+
+_DELETE = object()
+_FUZZ_TARGETS = st.one_of(
+    st.tuples(st.none(), st.sampled_from(
+        ["samples", "threshold", "estimator_fingerprint", "manifest_path", "storage"])),
+    st.tuples(st.integers(0, 8), st.sampled_from(
+        ["image_id", "image_index", "row0", "col0", "size", "similarity", "label", "status"])),
+)
+_FUZZ_VALUES = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(),
+    st.sampled_from([10 ** 30, -10 ** 30, math.nan, math.inf, -math.inf]),
+    st.integers(-1, 600), st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """A 24 px corpus image and a dataset of its nine 16 px patches at stride 4."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "manifest.json").write_text('{"entries": [' + _ENTRY + ']}')
+    write_image(eval_scene(24, seed=1), root / "b.pfm")
+    rows = [{**json.loads(_ROW), "row0": r, "col0": c, "size": 16, "label": (r + c) // 4 % 2}
+            for r in (0, 4, 8) for c in (0, 4, 8)]
+    return root, {**json.loads(_dataset("")), "samples": rows}
+
+
+@given(target=_FUZZ_TARGETS, value=_FUZZ_VALUES)
+def test_edited_dataset_values_exit_cleanly(fuzz_dataset, target, value):
+    """Replacing or deleting any one dataset or row value never raises: train
+    succeeds, rejects its input (2) or reports a malformed file (3)."""
+    root, base = fuzz_dataset
+    data = json.loads(json.dumps(base))
+    row, key = target
+    record = data if row is None else data["samples"][row]
+    if value is _DELETE:
+        del record[key]
+    else:
+        record[key] = value
+    path = root / "dataset.json"
+    path.write_text(json.dumps(data))
+    code = main(["train", "--dataset", str(path), "--out-dir", str(root / "out"),
+                 "--epochs", "1", "--batch-size", "1"])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FORMAT)
 
 
 @pytest.mark.parametrize("name, data", [

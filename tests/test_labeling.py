@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,6 @@ def test_build_dataset_labels_every_patch(scene_corpus):
     ds = build_dataset(scene_corpus, GRID, EST, LABELS)
     assert len(ds.samples) == 8
     assert ds.threshold == 0.5
-    assert ds.storage == "refs"
     for s in ds.samples:
         assert 0.0 <= s.similarity <= 1.0
         if s.status == STATUS_DEGENERATE:
@@ -78,20 +79,6 @@ def test_flat_corpus_degenerates(flat_corpus):
     ds = build_dataset(flat_corpus, GRID, EST, LABELS)
     assert all(s.status == STATUS_DEGENERATE for s in ds.samples)
     assert all(s.label == 0 and s.similarity == 0.0 for s in ds.samples)
-
-
-def test_store_patches_round_trip(scene_corpus, tmp_path):
-    out = tmp_path / "ds"
-    stored = build_dataset(scene_corpus, GRID, EST, LABELS, out, store_patches=True)
-    assert stored.storage == "patches"
-    assert all(s.patch_path is not None for s in stored.samples)
-    from_refs = build_dataset(scene_corpus, GRID, EST, LABELS)
-    a = load_training_samples(stored)
-    b = load_training_samples(from_refs, manifest=scene_corpus)
-    assert len(a) == len(b) == 8
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.patch.pixels, sb.patch.pixels)
-        assert sa.label == sb.label
 
 
 def test_dataset_save_load_round_trip(scene_corpus, tmp_path):
@@ -134,6 +121,26 @@ def test_build_dataset_rejects_empty_manifest():
         build_dataset(empty, GRID, EST, LABELS)
 
 
-def test_store_patches_requires_out_dir(scene_corpus):
-    with pytest.raises(ValidationError):
-        build_dataset(scene_corpus, GRID, EST, LABELS, store_patches=True)
+def test_unsaved_dataset_has_no_corpus_to_load_from(scene_corpus):
+    with pytest.raises(ValidationError, match="manifest"):
+        load_training_samples(build_dataset(scene_corpus, GRID, EST, LABELS))
+
+
+@pytest.mark.parametrize("name", ["refs_dataset.json", "patches_dataset.json"])
+def test_earlier_dataset_files_train_from_the_corpus(scene_corpus, tmp_path, name):
+    """Datasets written by earlier versions, one with `"storage": "refs"` and
+    one with `"storage": "patches"` and a `patch_path` per row, load and cut
+    their patches from the corpus; the stored patch files are not read."""
+    old_dir = scene_corpus.base_dir.parent / name.removesuffix(".json")
+    old_dir.mkdir(exist_ok=True)
+    old_path = old_dir / "dataset.json"
+    old_path.write_text((Path(__file__).parent / "data" / name).read_text())
+    old = LabeledDataset.load(old_path)
+    fresh = build_dataset(scene_corpus, GRID, EST, LABELS, tmp_path / "fresh")
+    assert old.samples == fresh.samples
+    assert old.estimator_fingerprint == fresh.estimator_fingerprint
+    a, b = load_training_samples(old), load_training_samples(fresh)
+    assert len(a) == len(b) == 8
+    for sa, sb in zip(a, b):
+        assert np.array_equal(sa.patch.pixels, sb.patch.pixels)
+        assert sa.label == sb.label
