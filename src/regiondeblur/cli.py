@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
 import sys
 from pathlib import Path
@@ -35,10 +34,9 @@ from .errors import (
     RegionDeblurError,
     ValidationError,
 )
-from .estimator import LATENT_REG, EstimatorConfig, estimate_kernel
+from .estimator import LATENT_REG, EstimatorConfig, deconvolve, estimate_kernel
 from .evaluation import (
     EVAL_METHODS,
-    deconvolve,
     evaluate_pipeline,
     success_curve,
     write_eval_csv,
@@ -62,21 +60,10 @@ from .synthesis import (
     write_json,
 )
 
-JOBS_ENV_VAR = "REGIONDEBLUR_JOBS"
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_FORMAT = 3
 EXIT_FAILURE = 4
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}")
-    return value
 
 
 # The option converters. Each takes a flag's string or a config file's JSON
@@ -100,7 +87,7 @@ def number(value) -> float:
 
 
 class Option(NamedTuple):
-    """A default of None marks the option required; a callable one is resolved per run."""
+    """A default of None marks the option required."""
 
     conv: Callable
     default: object
@@ -115,7 +102,7 @@ _COMMAND_OPTIONS = {
         "out_dir": Option(str, None),
         "sigma": Option(number, 4.0, "noise std on the 0-255 scale"),
         "seed": Option(integer, 0),
-        "jobs": Option(integer, _default_jobs),
+        "jobs": Option(integer, 1),
     },
     "label": {
         "manifest": Option(str, None),
@@ -125,7 +112,7 @@ _COMMAND_OPTIONS = {
         "kernel_size": Option(integer, 27),
         "threshold": Option(number, 0.75, "similarity threshold separating good from bad patches",
                             flag="--lambda"),
-        "jobs": Option(integer, _default_jobs),
+        "jobs": Option(integer, 1),
     },
     "train": {
         "dataset": Option(str, None),
@@ -135,12 +122,10 @@ _COMMAND_OPTIONS = {
         "learning_rate": Option(number, 0.001),
         "momentum": Option(number, 0.9),
         "seed": Option(integer, 0),
-        "input_side": Option(integer, 0, "network input side; 0 uses the dataset patch size"),
     },
     "select": {
         "model": Option(str, None),
         "image": Option(str, None),
-        "patch_size": Option(integer, 0, "0 uses the model input side"),
         "stride": Option(integer, 20),
         "top": Option(integer, 5),
         "out_json": Option(str, ""),
@@ -151,7 +136,6 @@ _COMMAND_OPTIONS = {
         "image": Option(str, None),
         "kernel_size": Option(integer, None),
         "out_dir": Option(str, None),
-        "patch_size": Option(integer, 0),
         "stride": Option(integer, 20),
         "latent_reg": Option(number, LATENT_REG),
     },
@@ -177,9 +161,7 @@ def _flag(name: str, option: Option) -> str:
 def resolve_options(command: str, args: argparse.Namespace) -> dict:
     """Merge builtin defaults, the optional config file, and explicit flags."""
     spec = _COMMAND_OPTIONS[command]
-    merged = {}
-    for name, opt in spec.items():
-        merged[name] = opt.default() if callable(opt.default) else opt.default
+    merged = {name: opt.default for name, opt in spec.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -245,14 +227,13 @@ def _cmd_train(opts: dict) -> int:
     samples = load_training_samples(dataset)
     if not samples:
         raise ValidationError("dataset has no samples")
-    input_side = opts["input_side"] or samples[0].patch.height
     cfg = TrainConfig(
         learning_rate=opts["learning_rate"],
         momentum=opts["momentum"],
         batch_size=opts["batch_size"],
         epochs=opts["epochs"],
         seed=opts["seed"],
-        input_side=input_side,
+        input_side=samples[0].patch.height,
     )
     net = build_small_resnet(seed=cfg.seed, input_side=cfg.input_side)
     result = train(net, samples, cfg)
@@ -272,8 +253,7 @@ def _cmd_train(opts: dict) -> int:
 def _cmd_select(opts: dict) -> int:
     net = load_model(opts["model"])
     image = read_image(opts["image"])
-    patch_size = opts["patch_size"] or net.input_side
-    grid = PatchGridSpec(patch_size=patch_size, stride=opts["stride"])
+    grid = PatchGridSpec(patch_size=net.input_side, stride=opts["stride"])
     ranked = select_top(score_patches(net, image, grid), opts["top"])
     for rp in ranked:
         print(f"{rp.ref.row0} {rp.ref.col0} {rp.score:.6f}")
@@ -292,8 +272,7 @@ def _cmd_select(opts: dict) -> int:
 def _cmd_deblur(opts: dict) -> int:
     net = load_model(opts["model"])
     image = read_image(opts["image"])
-    patch_size = opts["patch_size"] or net.input_side
-    grid = PatchGridSpec(patch_size=patch_size, stride=opts["stride"])
+    grid = PatchGridSpec(patch_size=net.input_side, stride=opts["stride"])
     cfg = EstimatorConfig(kernel_size=opts["kernel_size"])
     best = select_top(score_patches(net, image, grid), 1)[0]
     estimate = estimate_kernel(extract(image, best.ref), cfg)

@@ -191,6 +191,11 @@ def solve_latent(blurred: Image, k: Kernel, reg: float = LATENT_REG) -> Image:
     return Image(latent)
 
 
+def deconvolve(blurred: Image, kernel: Kernel, reg: float = LATENT_REG) -> Image:
+    """Recover the latent image under ``kernel``, clipped to [0, 1]."""
+    return Image(np.clip(solve_latent(blurred, kernel, reg).pixels, 0.0, 1.0))
+
+
 def _power(spectrum: np.ndarray) -> np.ndarray:
     return spectrum.real ** 2 + spectrum.imag ** 2
 
@@ -257,7 +262,7 @@ def estimate_kernel(blurred: Image, cfg: EstimatorConfig) -> KernelEstimate:
         solved = False
         for iteration in range(ITERATIONS_PER_LEVEL):
             if kernel is not None or iteration > 0:
-                latent = Image(np.clip(solve_latent(level.image, current).pixels, 0.0, 1.0))
+                latent = deconvolve(level.image, current)
             gx_s, gy_s = predict_gradients(latent)
             gx_s, gy_s = gx_s * window, gy_s * window
             try:

@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DimensionError, RegionDeblurError, ValidationError
-from .estimator import LATENT_REG, EstimatorConfig, estimate_kernel, solve_latent
-from .imagecore import Image, Kernel, read_image, read_kernel
+# perfbench's tracer test reads `evaluation.solve_latent`, so the name stays here.
+from .estimator import EstimatorConfig, deconvolve, estimate_kernel, solve_latent  # noqa: F401
+from .imagecore import Image, read_image, read_kernel
 from .kernelsim import kernel_similarity
 from .selector import score_patches, select_top
 from .synthesis import CorpusManifest, PatchGridSpec, PatchRef, derive_seed, extract, patch_grid
@@ -189,11 +190,6 @@ def _interior_psnr(image: Image, reference: Image, margin: int) -> float:
     return psnr(Image(_interior(image.pixels, margin)), Image(_interior(reference.pixels, margin)))
 
 
-def deconvolve(blurred: Image, kernel: Kernel, reg: float) -> Image:
-    """Recover the whole latent image under ``kernel``, clipped to [0, 1]."""
-    return Image(np.clip(solve_latent(blurred, kernel, reg).pixels, 0.0, 1.0))
-
-
 def _pick_random_ref(refs: list[PatchRef], seed: int) -> PatchRef:
     rng = np.random.default_rng(seed)
     return refs[int(rng.integers(len(refs)))]
@@ -221,6 +217,9 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
             raise ValidationError(f"unknown evaluation method {m!r}")
     if "top" in methods and net is None:
         raise ValidationError("method 'top' needs a trained classifier")
+    if "top" in methods and grid.patch_size != net.input_side:
+        raise ValidationError(f"patch size {grid.patch_size} does not match the classifier's "
+                              f"input side {net.input_side}, so 'top' cannot score it")
     if not manifest.entries:
         raise ValidationError("corpus manifest has no entries")
 
@@ -232,7 +231,7 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
         true_kernel = read_kernel(manifest.resolve(entry.kernel_path))
         cfg = replace(est_cfg, kernel_size=true_kernel.side_h)
         margin = true_kernel.side_h // 2
-        baseline = deconvolve(blurred, true_kernel, LATENT_REG)
+        baseline = deconvolve(blurred, true_kernel)
         baseline = align_to_reference(baseline, sharp, margin, margin)
 
         for method in methods:
@@ -274,7 +273,7 @@ def _run_method(method, image_id, index, blurred, sharp, true_kernel,
         patch_row, patch_col = ref.row0, ref.col0
         estimate = estimate_kernel(extract(blurred, ref), cfg)
 
-    recovered = deconvolve(blurred, estimate.kernel, LATENT_REG)
+    recovered = deconvolve(blurred, estimate.kernel)
     recovered = align_to_reference(recovered, sharp, margin, margin)
     ratio = error_ratio(recovered, sharp, baseline, margin)
     sim = kernel_similarity(estimate.kernel, true_kernel).value

@@ -138,7 +138,7 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
     identical for any job count. Each image is estimated at its true
     kernel's size; ``est_cfg`` only enters the estimator fingerprint. With
     ``out_dir`` the index is saved there as ``dataset.json``; its manifest
-    path points at the manifest's file if the manifest was loaded or saved.
+    path points at the manifest's file if the manifest has a ``base_dir``.
     """
     if not manifest.entries:
         raise ValidationError("corpus manifest has no entries")
@@ -171,7 +171,7 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if manifest.base_dir is not None:
-            dataset.manifest_path = os.path.relpath(manifest.base_dir / "manifest.json", out_dir)
+            dataset.manifest_path = os.path.relpath(manifest.base_dir / manifest.file_name, out_dir)
         dataset.save(out_dir / "dataset.json")
     return dataset
 
@@ -200,8 +200,9 @@ def class_balance_report(dataset: LabeledDataset) -> dict:
 
 def load_training_samples(dataset: LabeledDataset) -> list[TrainingSample]:
     """Cut every dataset row's patch out of its blurred corpus image. A row
-    naming an image the manifest lacks, or a patch that does not fit its
-    image, is a ParseError naming the dataset and the row."""
+    naming an image the manifest lacks, a patch that does not fit its image,
+    or a patch side other than row 0's is a ParseError naming the dataset and
+    the row."""
     if dataset.manifest_path is None:
         raise ValidationError("dataset has no corpus manifest to load patches from")
     base = dataset.base_dir if dataset.base_dir is not None else Path(".")
@@ -210,6 +211,9 @@ def load_training_samples(dataset: LabeledDataset) -> list[TrainingSample]:
     out = []
     for i, s in enumerate(dataset.samples):
         where = f"dataset in {base} row {i}"
+        if s.ref.size != dataset.samples[0].ref.size:
+            raise ParseError(f"{where} names a {s.ref.size} px patch, but row 0 "
+                             f"names a {dataset.samples[0].ref.size} px one")
         if s.image_index not in images:
             if not 0 <= s.image_index < len(manifest.entries):
                 raise ParseError(f"{where} names image {s.image_index}, but the manifest "

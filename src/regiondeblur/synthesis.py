@@ -132,13 +132,15 @@ class CorpusEntry:
 
 @dataclass
 class CorpusManifest:
-    """Corpus index; all paths are relative to the manifest's directory."""
+    """Corpus index; all paths are relative to the manifest's directory,
+    ``base_dir``, which holds it as ``file_name``."""
 
     entries: list[CorpusEntry]
     master_seed: int = 0
     sigma: float = 4.0
     sigma_convention: str = SIGMA_CONVENTION
     base_dir: Path | None = None
+    file_name: str = "manifest.json"
 
     def to_dict(self) -> dict:
         return {
@@ -151,7 +153,7 @@ class CorpusManifest:
     def save(self, path) -> None:
         path = Path(path)
         write_json(path, self.to_dict())
-        self.base_dir = path.parent
+        self.base_dir, self.file_name = path.parent, path.name
 
     @staticmethod
     def load(path) -> "CorpusManifest":
@@ -166,6 +168,7 @@ class CorpusManifest:
             sigma=raw.get("sigma", 4.0),
             sigma_convention=raw.get("sigma_convention", SIGMA_CONVENTION),
             base_dir=path.parent,
+            file_name=path.name,
         )
 
     def resolve(self, relative: str) -> Path:

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +11,13 @@ from regiondeblur.cli import (
     EXIT_FORMAT,
     EXIT_OK,
     EXIT_VALIDATION,
-    JOBS_ENV_VAR,
     build_parser,
     main,
     resolve_options,
 )
 from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel
-from regiondeblur.errors import ValidationError
-from regiondeblur.estimator import LATENT_REG, EstimatorConfig, estimate_kernel
-from regiondeblur.evaluation import EVAL_CSV_HEADER, deconvolve
+from regiondeblur.estimator import LATENT_REG, EstimatorConfig, deconvolve, estimate_kernel
+from regiondeblur.evaluation import EVAL_CSV_HEADER
 from regiondeblur.imagecore import Kernel, encode_pfm, read_image, write_image, write_kernel
 from regiondeblur.synthesis import PatchRef, extract
 
@@ -168,6 +167,38 @@ def test_evaluate_outputs(pipeline, tmp_path, capsys):
     assert (out / "success_curve.svg").exists()
     printed = capsys.readouterr().out
     assert "gt:" in printed
+
+
+def test_evaluate_rejects_a_patch_size_its_model_cannot_score(pipeline, tmp_path, capsys):
+    """`top` with a 48 px grid and a 32 px model exits 2 and writes nothing."""
+    out = tmp_path / "eval"
+    assert main([
+        "evaluate", "--manifest", str(pipeline["corpus"] / "manifest.json"),
+        "--model", str(pipeline["model"]), "--out-dir", str(out),
+        "--patch-size", "48", "--stride", "16", "--kernel-size", "7",
+        "--methods", "top,gt",
+    ]) == EXIT_VALIDATION
+    assert "patch size 48" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_label_records_the_manifest_file_it_read(pipeline, tmp_path, capsys):
+    """A manifest not named manifest.json yields a dataset that train can load."""
+    for name in ("sharp", "kernels", "corpus"):
+        shutil.copytree(pipeline[name], tmp_path / name)
+    corpus = tmp_path / "corpus"
+    (corpus / "manifest.json").rename(corpus / "m.json")
+    dataset = tmp_path / "dataset"
+    assert main([
+        "label", "--manifest", str(corpus / "m.json"), "--out-dir", str(dataset),
+        "--patch-size", "32", "--stride", "32", "--kernel-size", "7",
+    ]) == EXIT_OK
+    assert json.loads((dataset / "dataset.json").read_text())["manifest_path"].endswith("m.json")
+    assert main([
+        "train", "--dataset", str(dataset / "dataset.json"), "--out-dir", str(tmp_path / "model"),
+        "--epochs", "1", "--batch-size", "8",
+    ]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_config_file_sits_between_defaults_and_flags(pipeline, tmp_path):
@@ -345,10 +376,12 @@ def test_malformed_manifest_or_dataset_is_a_format_error(tmp_path, capsys, comma
     ('"col0": 0', '"col0": 9'),
     ('"row0": 0', '"row0": 90'),
     ('"size": 8', '"size": 500'),
-], ids=["1", "-1", "col0-9", "row0-90", "size-500"])
+    ('"size": 8', '"size": 4'),
+], ids=["1", "-1", "col0-9", "row0-90", "size-500", "size-4"])
 def test_dataset_row_outside_the_manifest_is_a_format_error(tmp_path, capsys, old, new):
-    """A row naming an image the manifest lacks, or a patch that does not fit
-    its 16 px image, exits 3 naming the dataset and the row."""
+    """A row naming an image the manifest lacks, a patch that does not fit
+    its 16 px image, or a patch of another size than row 0's exits 3 naming
+    the dataset and the row."""
     (tmp_path / "manifest.json").write_text('{"entries": [' + _ENTRY + ']}')
     write_image(flat_patch(16, 0.5), tmp_path / "b.pfm")
     path = tmp_path / "input.json"
@@ -439,20 +472,3 @@ def test_even_kernel_size_is_a_validation_error(pipeline, tmp_path, capsys):
     ])
     assert code == EXIT_VALIDATION
     capsys.readouterr()
-
-
-def test_jobs_default_comes_from_env(monkeypatch):
-    monkeypatch.setenv(JOBS_ENV_VAR, "3")
-    args = build_parser().parse_args([
-        "synthesize", "--sharp-dir", "a", "--kernel-dir", "b", "--out-dir", "c",
-    ])
-    assert resolve_options("synthesize", args)["jobs"] == 3
-
-
-def test_garbled_jobs_env_is_rejected(monkeypatch):
-    monkeypatch.setenv(JOBS_ENV_VAR, "many")
-    args = build_parser().parse_args([
-        "synthesize", "--sharp-dir", "a", "--kernel-dir", "b", "--out-dir", "c",
-    ])
-    with pytest.raises(ValidationError):
-        resolve_options("synthesize", args)
