@@ -11,9 +11,12 @@ classical momentum; gradients come from a hand-written reverse pass.
 declares its header descriptor and its output shape, and a `Network` accepts
 no other layer, so nothing downsamples by windowed pooling.
 
-Inference (a forward pass without a tape) runs the layers up to the global
-pooling on tiles of about 2**16 input pixels, so its memory is bounded per
-tile rather than growing with the batch; training keeps whole-batch passes.
+Inference (a forward pass without a tape) standardizes the patches and runs
+the layers up to the global pooling on tiles of about 2**16 input pixels, so
+its memory is bounded per tile rather than growing with the batch; training
+keeps whole-batch passes. Convolutions read their im2col columns straight
+from the unpadded input. The first pass of any network sets glibc's malloc
+to keep freed memory, so later passes reuse it instead of faulting it in.
 
 Models serialize to a self-describing container: magic bytes, a format
 version, a JSON layer-descriptor header carrying a SHA-256 payload checksum,
@@ -23,6 +26,8 @@ and the little-endian float64 parameters.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -45,6 +50,27 @@ _LOGIT_CAP = 35.0
 # sixteen 64 px patches.
 _TILE_PIXELS = 1 << 16
 _STANDARDIZE_EPS = 1e-8
+# glibc `mallopt` parameters, from <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let the process keep the heap memory a CNN pass frees, so the next
+    pass reuses it instead of faulting fresh pages in: glibc stops trimming
+    the heap top below 512 MiB and stops mmapping blocks below 32 MiB (the
+    largest fixed threshold it accepts). Runs once, on the first pass, so
+    commands that never run the CNN keep the default allocator; does nothing
+    where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 512 << 20)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -59,23 +85,51 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # layers
 
-def _im2col(padded: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    n, c = padded.shape[:2]
+def _tap_spans(k: int, stride: int, pad: int, size: int, out: int) -> list[tuple[int, int, slice]]:
+    """Per kernel offset along one axis: the output indices [lo, hi) whose
+    input index ``stride * i + offset - pad`` lies inside [0, size) rather than
+    in the zero padding, and the slice of input indices they read."""
+    spans = []
+    for offset in range(-pad, k - pad):
+        lo = min(out, max(0, -(offset // stride)))
+        hi = max(lo, min(out, (size - 1 - offset) // stride + 1))
+        start = stride * lo + offset
+        reads = slice(start, start + stride * (hi - lo), stride) if hi > lo else slice(0, 0)
+        spans.append((lo, hi, reads))
+    return spans
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
+    """Columns of the zero-padded input, read straight from the unpadded one:
+    each tap copies its in-bounds rectangle and zeros only the rows and
+    columns that would read padding."""
+    n, c, h, w = x.shape
+    row_spans = _tap_spans(k, stride, pad, h, oh)
+    col_spans = _tap_spans(k, stride, pad, w, ow)
     cols = np.empty((n, c, k, k, oh, ow))
-    for u in range(k):
-        for v in range(k):
-            cols[:, :, u, v] = padded[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride]
+    for u, (lo, hi, _) in enumerate(row_spans):
+        cols[:, :, u, :, :lo] = 0.0
+        cols[:, :, u, :, hi:] = 0.0
+    for v, (lo, hi, _) in enumerate(col_spans):
+        cols[:, :, :, v, :, :lo] = 0.0
+        cols[:, :, :, v, :, hi:] = 0.0
+    for u, (r0, r1, rows) in enumerate(row_spans):
+        for v, (c0, c1, cs) in enumerate(col_spans):
+            cols[:, :, u, v, r0:r1, c0:c1] = x[:, :, rows, cs]
     return cols.reshape(n, c * k * k, oh * ow)
 
 
-def _col2im(dcols: np.ndarray, padded_shape, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    n, c = padded_shape[:2]
+def _col2im(dcols: np.ndarray, shape, k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
+    """Input gradient of `_im2col`: each tap adds its in-bounds rectangle
+    back, in the same tap order, and what fell on the padding is dropped."""
+    n, c, h, w = shape
     dcols = dcols.reshape(n, c, k, k, oh, ow)
-    dpadded = np.zeros(padded_shape)
-    for u in range(k):
-        for v in range(k):
-            dpadded[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += dcols[:, :, u, v]
-    return dpadded
+    col_spans = _tap_spans(k, stride, pad, w, ow)
+    dx = np.zeros(shape)
+    for u, (r0, r1, rows) in enumerate(_tap_spans(k, stride, pad, h, oh)):
+        for v, (c0, c1, cs) in enumerate(col_spans):
+            dx[:, :, rows, cs] += dcols[:, :, u, v, r0:r1, c0:c1]
+    return dx
 
 
 class _Layer:
@@ -169,18 +223,16 @@ class Conv2d(_WeightBias):
         if c != self.in_channels:
             raise DimensionError(f"conv expects {self.in_channels} channels, got {c}")
         oh, ow = self.out_hw(h, w)
-        p = self.pad
-        padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols = _im2col(padded, self.kernel_size, self.stride, oh, ow)
+        cols = _im2col(x, self.kernel_size, self.stride, self.pad, oh, ow)
         w2 = self.weight.reshape(self.out_channels, -1)
         out = np.matmul(w2, cols) + self.bias[:, None]
         out = out.reshape(n, self.out_channels, oh, ow)
         if tape is not None:
-            tape.append((self, (padded.shape, cols, oh, ow)))
+            tape.append((self, (x.shape, cols, oh, ow)))
         return out
 
     def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
-        padded_shape, cols, oh, ow = saved
+        shape, cols, oh, ow = saved
         n = dout.shape[0]
         dout2 = dout.reshape(n, self.out_channels, oh * ow)
         w2 = self.weight.reshape(self.out_channels, -1)
@@ -189,9 +241,7 @@ class Conv2d(_WeightBias):
         if not input_grad:
             return None
         dcols = np.matmul(w2.T, dout2)
-        dpadded = _col2im(dcols, padded_shape, self.kernel_size, self.stride, oh, ow)
-        p = self.pad
-        return dpadded[:, :, p:padded_shape[2] - p, p:padded_shape[3] - p] if p else dpadded
+        return _col2im(dcols, shape, self.kernel_size, self.stride, self.pad, oh, ow)
 
 
 class ReLU(_Layer):
@@ -385,23 +435,24 @@ class Network:
             raise DimensionError(
                 f"patch side {x.shape[2:]} does not match network input side {self.input_side}"
             )
-        if self.standardize:
-            mean = x.mean(axis=(2, 3), keepdims=True)
-            std = x.std(axis=(2, 3), keepdims=True)
-            x = (x - mean) / (std + _STANDARDIZE_EPS)
         return x
 
     def logits(self, batch: np.ndarray, tape: list | None = None) -> np.ndarray:
         """One logit per patch. The trunk runs on tiles and the head on the
         stacked pooled features. Without a tape a tile holds about
-        `_TILE_PIXELS` input pixels, so memory stays bounded per tile; with
-        one the whole batch is a single tile, so the tape records each layer
-        once. Every logit is bit-identical either way."""
+        `_TILE_PIXELS` input pixels, so memory stays bounded per tile (the
+        standardized copy of the input included); with one the whole batch
+        is a single tile, so the tape records each layer once. Every logit is
+        bit-identical either way."""
+        _keep_freed_memory()
         x = self._prepare(batch)
         tile = max(1, _TILE_PIXELS // self.input_side ** 2 if tape is None else len(x))
         pooled = []
         for start in range(0, max(len(x), 1), tile):  # an empty batch is one empty tile
             y = x[start:start + tile]
+            if self.standardize:  # per sample, so a tile gets the whole batch's bits
+                mean = y.mean(axis=(2, 3), keepdims=True)
+                y = (y - mean) / (y.std(axis=(2, 3), keepdims=True) + _STANDARDIZE_EPS)
             for layer in self.layers[:self._trunk_end]:
                 y = layer.forward(y, tape)
             pooled.append(y)

@@ -1,8 +1,11 @@
 import math
+import platform
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from regiondeblur.classifier import (
     Conv2d,
@@ -168,10 +171,10 @@ def test_tiled_inference_matches_the_whole_batch_pass(side, count):
 
 
 def test_inference_memory_is_bounded_per_tile():
-    # A whole-batch pass of 8 x 228 px patches needs 41 MB for the stem's
-    # im2col columns alone; one tile holds one patch.
+    # A whole-batch pass of 64 x 228 px patches needs 53 MB to standardize
+    # them and 326 MB for the stem's im2col columns; one tile holds one patch.
     net = build_small_resnet(seed=0, input_side=228)
-    x = np.random.default_rng(0).uniform(0, 1, (8, 228, 228))
+    x = np.random.default_rng(0).uniform(0, 1, (64, 228, 228))
     net.forward_batch(x[:1])
     tracemalloc.start()
     try:
@@ -180,6 +183,31 @@ def test_inference_memory_is_bounded_per_tile():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts minor page faults under glibc malloc")
+def test_training_step_reuses_freed_memory():
+    """A steady-state training step faults no fresh pages in: the memory the
+    previous step's tape freed stays in the process. Without that, a batch-32,
+    64 px step takes about 6,500 minor faults."""
+    import resource
+
+    net = build_small_resnet(seed=0, input_side=64)
+    x = np.random.default_rng(1).uniform(0, 1, (32, 64, 64))
+    y = np.arange(32) % 2
+
+    def step():
+        tape = []
+        _, dz = bce_with_logits(net.logits(x, tape), y)
+        net.zero_gradients()
+        net.backward(tape, dz)
+
+    step()
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +260,64 @@ def test_bce_with_logits_gradient_sign():
 
 # ---------------------------------------------------------------------------
 # gradients
+
+
+def _padded_im2col(padded, k, stride, oh, ow):
+    n, c = padded.shape[:2]
+    cols = np.empty((n, c, k, k, oh, ow))
+    for u in range(k):
+        for v in range(k):
+            cols[:, :, u, v] = padded[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride]
+    return cols.reshape(n, c * k * k, oh * ow)
+
+
+def _padded_col2im(dcols, padded_shape, k, stride, oh, ow):
+    n, c = padded_shape[:2]
+    dcols = dcols.reshape(n, c, k, k, oh, ow)
+    dpadded = np.zeros(padded_shape)
+    for u in range(k):
+        for v in range(k):
+            dpadded[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += dcols[:, :, u, v]
+    return dpadded
+
+
+def _padded_conv(conv, x, dout):
+    """Reference conv pass on an explicitly zero-padded copy of the input:
+    output, weight gradient, bias gradient and input gradient."""
+    n = x.shape[0]
+    k, s, p = conv.kernel_size, conv.stride, conv.pad
+    oh, ow = dout.shape[2:]
+    padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = _padded_im2col(padded, k, s, oh, ow)
+    w2 = conv.weight.reshape(conv.out_channels, -1)
+    out = (np.matmul(w2, cols) + conv.bias[:, None]).reshape(dout.shape)
+    dout2 = dout.reshape(n, conv.out_channels, oh * ow)
+    grad_weight = np.zeros_like(conv.weight)
+    grad_weight += np.matmul(dout2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(conv.weight.shape)
+    grad_bias = np.zeros_like(conv.bias)
+    grad_bias += dout2.sum(axis=(0, 2))
+    dpadded = _padded_col2im(np.matmul(w2.T, dout2), padded.shape, k, s, oh, ow)
+    return out, grad_weight, grad_bias, dpadded[:, :, p:p + x.shape[2], p:p + x.shape[3]]
+
+
+@given(n=st.integers(0, 3), c=st.integers(1, 4), out_channels=st.integers(1, 3),
+       k=st.sampled_from([1, 3, 5, 7]), stride=st.sampled_from([1, 2]),
+       h=st.integers(1, 12), w=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+def test_conv_matches_the_padded_reference_bit_for_bit(n, c, out_channels, k, stride, h, w, seed):
+    """Columns read straight from the unpadded input give the same bits as
+    im2col on an np.pad copy, forward and backward, for sides smaller than
+    the kernel too."""
+    rng = np.random.default_rng(seed)
+    conv = Conv2d(c, out_channels, k, stride, rng)
+    conv.bias[...] = rng.normal(size=out_channels)
+    x = rng.normal(size=(n, c, h, w))
+    tape = []
+    out = conv.forward(x, tape)
+    dout = rng.normal(size=out.shape)
+    dx = conv.backward(dout, tape[0][1])
+    expected = _padded_conv(conv, x, dout)
+    for got, want in zip((out, conv.grad_weight, conv.grad_bias, dx), expected):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("first", ["conv", "residual"])

@@ -1,12 +1,14 @@
 import json
 import math
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from regiondeblur.classifier import build_small_resnet, save_model
 from regiondeblur.cli import (
     EXIT_FORMAT,
     EXIT_OK,
@@ -434,6 +436,56 @@ def test_edited_dataset_values_exit_cleanly(fuzz_dataset, target, value):
     path.write_text(json.dumps(data))
     code = main(["train", "--dataset", str(path), "--out-dir", str(root / "out"),
                  "--epochs", "1", "--batch-size", "1"])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FORMAT)
+
+
+_MODEL_EDITS = st.one_of(
+    st.tuples(st.just("value"), st.one_of(
+        st.tuples(st.none(), st.sampled_from(
+            ["input_side", "standardize", "layers", "param_count", "sha256"])),
+        st.tuples(st.integers(0, 6), st.sampled_from(
+            ["type", "in_channels", "out_channels", "kernel_size", "stride",
+             "in_features", "out_features"])),
+    ), _FUZZ_VALUES),
+    st.tuples(st.just("flip"), st.integers(0, 1 << 12), st.integers(1, 255)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    """A saved 32 px model and a 40 px image it scores four patches of."""
+    root = tmp_path_factory.mktemp("fuzz_model")
+    save_model(build_small_resnet(seed=0, input_side=32), root / "model.bin")
+    write_image(eval_scene(40, seed=2), root / "image.pfm")
+    return root, (root / "model.bin").read_bytes()
+
+
+@given(edit=_MODEL_EDITS)
+def test_edited_model_file_exits_cleanly(fuzz_model, edit):
+    """Replacing or deleting one header value, or flipping the bits of one
+    byte in the magic, version, header length, header or first parameter,
+    never raises: select succeeds, rejects its input (2) or reports a
+    malformed file (3)."""
+    root, data = fuzz_model
+    (header_len,) = struct.unpack_from("<Q", data, 12)
+    if edit[0] == "value":
+        _, (layer, key), value = edit
+        header = json.loads(data[20:20 + header_len])
+        record = header if layer is None else header["layers"][layer]
+        if value is _DELETE:
+            record.pop(key, None)
+        else:
+            record[key] = value
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        data = data[:12] + struct.pack("<Q", len(blob)) + blob + data[20 + header_len:]
+    else:
+        _, position, mask = edit
+        position %= 20 + header_len + 8
+        data = data[:position] + bytes([data[position] ^ mask]) + data[position + 1:]
+    path = root / "edited.bin"
+    path.write_bytes(data)
+    code = main(["select", "--model", str(path), "--image", str(root / "image.pfm"),
+                 "--stride", "8"])
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FORMAT)
 
 
