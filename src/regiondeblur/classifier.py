@@ -426,7 +426,7 @@ class Network:
     def descriptors(self) -> list[dict]:
         return [layer.descriptor() for layer in self.layers]
 
-    def _prepare(self, batch: np.ndarray) -> np.ndarray:
+    def _prepare(self, batch) -> np.ndarray:
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim != 3:
             raise DimensionError(f"expected (N, side, side) patches, got {x.shape}")
@@ -437,19 +437,18 @@ class Network:
             )
         return x
 
-    def logits(self, batch: np.ndarray, tape: list | None = None) -> np.ndarray:
-        """One logit per patch. The trunk runs on tiles and the head on the
-        stacked pooled features. Without a tape a tile holds about
-        `_TILE_PIXELS` input pixels, so memory stays bounded per tile (the
-        standardized copy of the input included); with one the whole batch
-        is a single tile, so the tape records each layer once. Every logit is
-        bit-identical either way."""
+    def logits(self, batch, tape: list | None = None) -> np.ndarray:
+        """One logit per patch of `batch`, an (N, side, side) array or a sequence
+        of (side, side) patches. The trunk runs on tiles, each checked and stacked
+        on its own, and the head on the stacked pooled features. Without a tape a
+        tile of about `_TILE_PIXELS` input pixels is the only copy of the input;
+        with one the whole batch is a single tile, so the tape records each layer
+        once. Every logit is bit-identical either way."""
         _keep_freed_memory()
-        x = self._prepare(batch)
-        tile = max(1, _TILE_PIXELS // self.input_side ** 2 if tape is None else len(x))
+        tile = max(1, _TILE_PIXELS // self.input_side ** 2 if tape is None else len(batch))
         pooled = []
-        for start in range(0, max(len(x), 1), tile):  # an empty batch is one empty tile
-            y = x[start:start + tile]
+        for start in range(0, max(len(batch), 1), tile):  # an empty batch is one empty tile
+            y = self._prepare(batch[start:start + tile])
             if self.standardize:  # per sample, so a tile gets the whole batch's bits
                 mean = y.mean(axis=(2, 3), keepdims=True)
                 y = (y - mean) / (y.std(axis=(2, 3), keepdims=True) + _STANDARDIZE_EPS)
@@ -469,7 +468,7 @@ class Network:
             layer, saved = tape[index]
             d = layer.backward(d, saved, input_grad=index > 0)
 
-    def forward_batch(self, batch: np.ndarray) -> np.ndarray:
+    def forward_batch(self, batch) -> np.ndarray:
         z = np.clip(self.logits(batch), -_LOGIT_CAP, _LOGIT_CAP)
         return _sigmoid(z)
 

@@ -229,16 +229,19 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
         blurred = read_image(manifest.resolve(entry.blurred_path))
         sharp = read_image(manifest.resolve(entry.sharp_path))
         true_kernel = read_kernel(manifest.resolve(entry.kernel_path))
-        cfg = replace(est_cfg, kernel_size=true_kernel.side_h)
         margin = true_kernel.side_h // 2
-        baseline = deconvolve(blurred, true_kernel)
-        baseline = align_to_reference(baseline, sharp, margin, margin)
+        try:  # every method scores against the baseline
+            baseline = align_to_reference(deconvolve(blurred, true_kernel), sharp, margin, margin)
+        except RegionDeblurError as exc:
+            baseline = exc
 
         for method in methods:
             try:
+                if isinstance(baseline, RegionDeblurError):
+                    raise baseline
                 records.append(_run_method(
                     method, image_id, index, blurred, sharp, true_kernel,
-                    baseline, grid, cfg, net, master_seed, margin,
+                    baseline, grid, est_cfg, net, master_seed, margin,
                 ))
             except RegionDeblurError as exc:
                 records.append(EvalRecord(
@@ -251,7 +254,7 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
 
 
 def _run_method(method, image_id, index, blurred, sharp, true_kernel,
-                baseline, grid, cfg, net, master_seed, margin) -> EvalRecord:
+                baseline, grid, est_cfg, net, master_seed, margin) -> EvalRecord:
     patch_row = patch_col = None
     if method == "gt":
         ratio = error_ratio(baseline, sharp, baseline, margin)
@@ -261,6 +264,7 @@ def _run_method(method, image_id, index, blurred, sharp, true_kernel,
             patch_row=None, patch_col=None, status="ok",
         )
 
+    cfg = replace(est_cfg, kernel_size=true_kernel.side_h)
     if method == "whole":
         estimate = estimate_kernel(blurred, cfg)
     else:

@@ -5,14 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classifier import Network
 from .errors import ValidationError
 from .imagecore import Image
-from .synthesis import PatchGridSpec, PatchRef, extract, patch_grid
+from .synthesis import PatchGridSpec, PatchRef, patch_grid
 
-# Patches extracted and scored per forward_batch call.
-_BATCH_SIZE = 64
 _BORDER = 3
 
 
@@ -23,13 +22,10 @@ class RankedPatch:
 
 
 def score_patches(net: Network, image: Image, grid: PatchGridSpec) -> list[RankedPatch]:
-    """Score every grid patch; ties rank earlier (row-major) patches first."""
+    """Score every grid patch, a view of the image; ties rank earlier (row-major) patches first."""
     refs = patch_grid(image, grid)
-    scores = np.empty(len(refs))
-    for start in range(0, len(refs), _BATCH_SIZE):
-        chunk = refs[start:start + _BATCH_SIZE]
-        batch = np.stack([extract(image, r).pixels for r in chunk])
-        scores[start:start + len(chunk)] = net.forward_batch(batch)
+    windows = sliding_window_view(image.pixels, (grid.patch_size, grid.patch_size))
+    scores = net.forward_batch([windows[r.row0, r.col0] for r in refs])
     order = sorted(range(len(refs)), key=lambda i: (-scores[i], refs[i].row0, refs[i].col0))
     return [RankedPatch(ref=refs[i], score=float(scores[i])) for i in order]
 

@@ -253,7 +253,6 @@ def generate_corpus(sharp_dir, kernel_dir, noise: NoiseModel, out_dir, *, jobs: 
         raise ValidationError(f"no .txt kernels found in {kernel_dir}")
     for kf in kernel_files:
         _warn_kernel_range(kf, read_kernel(kf))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     entries = []
     tasks = []
@@ -275,6 +274,7 @@ def generate_corpus(sharp_dir, kernel_dir, noise: NoiseModel, out_dir, *, jobs: 
             )
         )
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     map_jobs(_synthesize_pair, tasks, jobs)
 
     manifest = CorpusManifest(entries=entries, master_seed=noise.seed, sigma=noise.sigma)

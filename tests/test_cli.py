@@ -20,7 +20,14 @@ from regiondeblur.cli import (
 from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel
 from regiondeblur.estimator import LATENT_REG, EstimatorConfig, deconvolve, estimate_kernel
 from regiondeblur.evaluation import EVAL_CSV_HEADER
-from regiondeblur.imagecore import Kernel, encode_pfm, read_image, write_image, write_kernel
+from regiondeblur.imagecore import (
+    Kernel,
+    encode_pfm,
+    encode_pgm,
+    read_image,
+    write_image,
+    write_kernel,
+)
 from regiondeblur.synthesis import PatchRef, extract
 
 
@@ -171,6 +178,36 @@ def test_evaluate_outputs(pipeline, tmp_path, capsys):
     assert "gt:" in printed
 
 
+def test_evaluate_turns_a_failing_image_into_status_rows(pipeline, tmp_path, capsys):
+    """A valid 1x1 kernel cannot size the estimator: its images' `center`
+    rows become errors while their `gt` rows and every other image are
+    scored. A kernel file that cannot be decoded still exits 3."""
+    kernels = tmp_path / "kernels"
+    kernels.mkdir()
+    write_kernel(Kernel.delta(1), kernels / "d.txt")
+    shutil.copy(pipeline["kernels"] / "k.txt", kernels / "k.txt")
+    corpus = tmp_path / "corpus"
+    with pytest.warns(UserWarning):
+        assert main([
+            "synthesize", "--sharp-dir", str(pipeline["sharp"]), "--kernel-dir", str(kernels),
+            "--out-dir", str(corpus), "--sigma", "1.0",
+        ]) == EXIT_OK
+    argv = [
+        "evaluate", "--manifest", str(corpus / "manifest.json"), "--out-dir", str(tmp_path / "eval"),
+        "--patch-size", "32", "--stride", "32", "--kernel-size", "7", "--methods", "gt,center",
+    ]
+    assert main(argv) == EXIT_OK
+    rows = [line.split(",") for line in (tmp_path / "eval" / "results.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 12
+    for row in rows:
+        failing = row[0].endswith("_d") and row[1] == "center"
+        assert (row[-1] == "error:ValidationError") == failing
+        assert row[-1] != "ok" or math.isfinite(float(row[2]))
+    (kernels / "d.txt").write_text("1 1\nx\n")
+    assert main(argv) == EXIT_FORMAT
+    assert "d.txt" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_a_patch_size_its_model_cannot_score(pipeline, tmp_path, capsys):
     """`top` with a 48 px grid and a 32 px model exits 2 and writes nothing."""
     out = tmp_path / "eval"
@@ -280,15 +317,24 @@ def test_option_values_go_through_their_converter(tmp_path, capsys, command, con
         assert resolve_options(command, build_parser().parse_args(argv))[key] is expected
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_non_positive_jobs_are_rejected(pipeline, tmp_path, capsys, jobs):
+@pytest.mark.parametrize("jobs, sharp_names, message", [
+    ("0", ["a.pgm"], "jobs"),
+    ("-3", ["a.pgm"], "jobs"),
+    ("1", ["a.pgm", "a.pfm"], "duplicate output name blur_a_k.pfm"),
+], ids=["jobs-0", "jobs-minus-3", "duplicate-stem"])
+def test_rejected_synthesize_leaves_no_out_dir(pipeline, tmp_path, capsys, jobs, sharp_names,
+                                               message):
+    sharp = tmp_path / "sharp"
+    sharp.mkdir()
+    for name in sharp_names:
+        write_image(eval_scene(32, seed=1), sharp / name)
     code = main([
-        "synthesize", "--sharp-dir", str(pipeline["sharp"]),
+        "synthesize", "--sharp-dir", str(sharp),
         "--kernel-dir", str(pipeline["kernels"]), "--out-dir", str(tmp_path / "out"),
         "--jobs", jobs,
     ])
     assert code == EXIT_VALIDATION
-    assert "jobs" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -486,6 +532,39 @@ def test_edited_model_file_exits_cleanly(fuzz_model, edit):
     path.write_bytes(data)
     code = main(["select", "--model", str(path), "--image", str(root / "image.pfm"),
                  "--stride", "8"])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FORMAT)
+
+
+@pytest.fixture(scope="module")
+def fuzz_readers(tmp_path_factory):
+    """Valid bytes of a 24 px PGM, a 24 px PFM and an 11 x 11 kernel file."""
+    root = tmp_path_factory.mktemp("fuzz_readers")
+    write_kernel(random_motion_kernel(11, seed=61), root / "k.txt")
+    return root, {
+        "a.pgm": encode_pgm(eval_scene(24, seed=3)),
+        "b.pfm": encode_pfm(eval_scene(24, seed=4)),
+        "k.txt": (root / "k.txt").read_bytes(),
+    }
+
+
+@given(name=st.sampled_from(["a.pgm", "b.pfm", "k.txt"]),
+       position=st.one_of(st.integers(0, 24), st.integers(0, 1 << 12)),
+       cut=st.integers(0, 4), insert=st.binary(max_size=4))
+def test_edited_image_or_kernel_bytes_exit_cleanly(fuzz_readers, name, position, cut, insert):
+    """Replacing up to four bytes of a PGM, PFM or kernel file by up to four
+    others, mostly in the header, never raises: synthesize succeeds, rejects
+    its input (2) or reports a malformed file (3)."""
+    root, files = fuzz_readers
+    for directory in ("sharp", "kernels"):
+        shutil.rmtree(root / directory, ignore_errors=True)
+        (root / directory).mkdir()
+    for file_name, data in files.items():
+        if file_name == name:
+            position %= len(data) + 1
+            data = data[:position] + insert + data[position + cut:]
+        (root / ("kernels" if file_name == "k.txt" else "sharp") / file_name).write_bytes(data)
+    code = main(["synthesize", "--sharp-dir", str(root / "sharp"),
+                 "--kernel-dir", str(root / "kernels"), "--out-dir", str(root / "out")])
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FORMAT)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regiondeblur import evaluation
 from regiondeblur.classifier import build_small_resnet
 from regiondeblur.demodata import eval_scene, random_motion_kernel
 from regiondeblur.errors import DegenerateDenominatorError, DimensionError, ValidationError
@@ -237,6 +238,23 @@ def test_evaluate_pipeline_controls_and_failures(eval_corpus):
         assert r.status in ("ok", "degenerate")
     for r in by_method["center"]:
         assert (r.patch_row, r.patch_col) == (16, 16)
+
+
+def test_evaluate_pipeline_tries_each_baseline_once(eval_corpus, monkeypatch):
+    """A baseline that cannot be computed is one attempt per image, and
+    every method of that image becomes an error row."""
+    attempts = []
+
+    def failing_deconvolve(blurred, kernel):
+        attempts.append(kernel)
+        raise DimensionError("no baseline")
+
+    monkeypatch.setattr(evaluation, "deconvolve", failing_deconvolve)
+    records = evaluate_pipeline(eval_corpus, PatchGridSpec(patch_size=32, stride=32),
+                                EstimatorConfig(kernel_size=7), methods=("gt", "center", "whole"))
+    assert [(r.method, r.status) for r in records] == [
+        (m, "error:DimensionError") for m in ("gt", "center", "whole")] * 2
+    assert len(attempts) == 2
 
 
 def test_evaluate_pipeline_random_is_seed_stable(eval_corpus):

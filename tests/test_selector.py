@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from regiondeblur.classifier import Conv2d, Dense, GlobalAveragePool, Network
+from regiondeblur.classifier import Conv2d, Dense, GlobalAveragePool, Network, build_small_resnet
 from regiondeblur.demodata import eval_scene
-from regiondeblur.errors import ValidationError
-from regiondeblur import selector
+from regiondeblur.errors import DimensionError, ValidationError
 from regiondeblur.imagecore import Image
 from regiondeblur.selector import (
     RankedPatch,
@@ -12,7 +14,7 @@ from regiondeblur.selector import (
     score_patches,
     select_top,
 )
-from regiondeblur.synthesis import PatchGridSpec, PatchRef
+from regiondeblur.synthesis import PatchGridSpec, PatchRef, extract, patch_grid
 
 
 def zero_net(side=16):
@@ -45,16 +47,52 @@ def test_score_patches_ties_rank_row_major():
     assert all(r.score == 0.5 for r in ranked)
 
 
-def test_score_patches_batch_size_changes_nothing_material(monkeypatch):
-    # BLAS blocking may shift scores by an ulp, but ranking must hold
-    net = seeded_net(seed=3)
-    image = eval_scene(64, seed=1)
-    grid = PatchGridSpec(patch_size=16, stride=8)
-    large = score_patches(net, image, grid)
-    monkeypatch.setattr(selector, "_BATCH_SIZE", 1)
-    small = score_patches(net, image, grid)
-    assert [r.ref for r in small] == [r.ref for r in large]
-    assert np.allclose([r.score for r in small], [r.score for r in large], atol=1e-9)
+def _reference_scores(net, image, grid, batch_size=64):
+    """Copy each chunk of `batch_size` grid patches out and stack them before
+    scoring: the chunked loop that views of the image replaced."""
+    refs = patch_grid(image, grid)
+    scores = np.empty(len(refs))
+    for start in range(0, len(refs), batch_size):
+        chunk = refs[start:start + batch_size]
+        batch = np.stack([extract(image, r).pixels for r in chunk])
+        scores[start:start + len(chunk)] = net.forward_batch(batch)
+    order = sorted(range(len(refs)), key=lambda i: (-scores[i], refs[i].row0, refs[i].col0))
+    return [RankedPatch(ref=refs[i], score=float(scores[i])) for i in order]
+
+
+@pytest.mark.parametrize("side, image_side, stride", [(48, 80, 4), (228, 384, 52)])
+def test_views_score_as_the_chunked_copies_do(side, image_side, stride):
+    # 81 patches of 48 px run in 28-patch tiles that straddle the reference's
+    # 64-patch chunks; 228 px patches run one per tile.
+    net = build_small_resnet(seed=side, input_side=side)
+    image = eval_scene(image_side, seed=7)
+    grid = PatchGridSpec(patch_size=side, stride=stride)
+    assert score_patches(net, image, grid) == _reference_scores(net, image, grid)
+
+
+def test_score_patches_memory_is_one_tile_not_one_chunk():
+    # 64 patches of 228 px: the chunked copies peaked at 53 MB.
+    net = build_small_resnet(seed=0, input_side=228)
+    image = eval_scene(384, seed=3)
+    grid = PatchGridSpec(patch_size=228, stride=20)
+    assert len(patch_grid(image, grid)) == 64
+    score_patches(net, image, PatchGridSpec(patch_size=228, stride=228))
+    tracemalloc.start()
+    try:
+        score_patches(net, image, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_forward_batch_takes_a_list_of_views():
+    net = build_small_resnet(seed=1, input_side=228)
+    windows = sliding_window_view(eval_scene(240, seed=4).pixels, (228, 228))
+    views = [windows[0, 0], windows[12, 5], windows[6, 12]]
+    assert np.array_equal(net.forward_batch(views), net.forward_batch(np.stack(views)))
+    with pytest.raises(DimensionError, match="does not match network input side 228"):
+        net.forward_batch(views + [windows[0, 0, :227, :227]])
 
 
 def test_select_top_truncates_and_validates():
