@@ -14,9 +14,14 @@ no other layer, so nothing downsamples by windowed pooling.
 Inference (a forward pass without a tape) standardizes the patches and runs
 the layers up to the global pooling on tiles of about 2**16 input pixels, so
 its memory is bounded per tile rather than growing with the batch; training
-keeps whole-batch passes. Convolutions read their im2col columns straight
-from the unpadded input. The first pass of any network sets glibc's malloc
-to keep freed memory, so later passes reuse it instead of faulting it in.
+keeps whole-batch passes. Scoring (`Network.forward_batch`) only has to rank
+patches, so it runs that trunk in float32: each tile is standardized in
+float64 and then cast, each convolution casts the current weights to its
+input's dtype, and the pooled features return to float64 for the head.
+`Network.logits`, training and the stored model stay in float64.
+Convolutions read their im2col columns straight from the unpadded input. The
+first pass of any network sets glibc's malloc to keep freed memory, so later
+passes reuse it instead of faulting it in.
 
 Models serialize to a self-describing container: magic bytes, a format
 version, a JSON layer-descriptor header carrying a SHA-256 payload checksum,
@@ -100,13 +105,13 @@ def _tap_spans(k: int, stride: int, pad: int, size: int, out: int) -> list[tuple
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
-    """Columns of the zero-padded input, read straight from the unpadded one:
-    each tap copies its in-bounds rectangle and zeros only the rows and
-    columns that would read padding."""
+    """Columns of the zero-padded input, in its dtype, read straight from the
+    unpadded one: each tap copies its in-bounds rectangle and zeros only the
+    rows and columns that would read padding."""
     n, c, h, w = x.shape
     row_spans = _tap_spans(k, stride, pad, h, oh)
     col_spans = _tap_spans(k, stride, pad, w, ow)
-    cols = np.empty((n, c, k, k, oh, ow))
+    cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
     for u, (lo, hi, _) in enumerate(row_spans):
         cols[:, :, u, :, :lo] = 0.0
         cols[:, :, u, :, hi:] = 0.0
@@ -224,8 +229,10 @@ class Conv2d(_WeightBias):
             raise DimensionError(f"conv expects {self.in_channels} channels, got {c}")
         oh, ow = self.out_hw(h, w)
         cols = _im2col(x, self.kernel_size, self.stride, self.pad, oh, ow)
-        w2 = self.weight.reshape(self.out_channels, -1)
-        out = np.matmul(w2, cols) + self.bias[:, None]
+        # In the input's dtype: a no-op for float64, a fresh cast of the
+        # current weights for the float32 scoring pass.
+        w2 = self.weight.reshape(self.out_channels, -1).astype(x.dtype, copy=False)
+        out = np.matmul(w2, cols) + self.bias.astype(x.dtype, copy=False)[:, None]
         out = out.reshape(n, self.out_channels, oh, ow)
         if tape is not None:
             tape.append((self, (x.shape, cols, oh, ow)))
@@ -427,23 +434,29 @@ class Network:
         return [layer.descriptor() for layer in self.layers]
 
     def _prepare(self, batch) -> np.ndarray:
-        x = np.asarray(batch, dtype=np.float64)
-        if x.ndim != 3:
-            raise DimensionError(f"expected (N, side, side) patches, got {x.shape}")
-        x = x[:, None]
-        if x.shape[2] != self.input_side or x.shape[3] != self.input_side:
-            raise DimensionError(
-                f"patch side {x.shape[2:]} does not match network input side {self.input_side}"
-            )
-        return x
+        """Stack `batch` in float64 as (N, 1, side, side), checking each patch
+        first, so a wrong shape fails the same way whatever shares its tile."""
+        side = self.input_side
+        for patch in batch:
+            shape = np.shape(patch)
+            if len(shape) != 2:
+                raise DimensionError(f"expected (N, side, side) patches, got one of shape {shape}")
+            if shape != (side, side):
+                raise DimensionError(f"patch side {shape} does not match network input side {side}")
+        return np.asarray(batch, dtype=np.float64).reshape(len(batch), 1, side, side)
 
     def logits(self, batch, tape: list | None = None) -> np.ndarray:
-        """One logit per patch of `batch`, an (N, side, side) array or a sequence
-        of (side, side) patches. The trunk runs on tiles, each checked and stacked
-        on its own, and the head on the stacked pooled features. Without a tape a
-        tile of about `_TILE_PIXELS` input pixels is the only copy of the input;
-        with one the whole batch is a single tile, so the tape records each layer
-        once. Every logit is bit-identical either way."""
+        """One float64 logit per patch of `batch`, an (N, side, side) array or a
+        sequence of (side, side) patches. Without a tape a tile of about
+        `_TILE_PIXELS` input pixels is the only copy of the input; with one the
+        whole batch is a single tile, so the tape records each layer once.
+        Every logit is bit-identical either way."""
+        return self._logits(batch, tape, np.float64)
+
+    def _logits(self, batch, tape: list | None, dtype) -> np.ndarray:
+        """The trunk runs in `dtype` on tiles, each checked, stacked and
+        standardized in float64 on its own, and the head in float64 on the
+        stacked pooled features."""
         _keep_freed_memory()
         tile = max(1, _TILE_PIXELS // self.input_side ** 2 if tape is None else len(batch))
         pooled = []
@@ -452,10 +465,11 @@ class Network:
             if self.standardize:  # per sample, so a tile gets the whole batch's bits
                 mean = y.mean(axis=(2, 3), keepdims=True)
                 y = (y - mean) / (y.std(axis=(2, 3), keepdims=True) + _STANDARDIZE_EPS)
+            y = y.astype(dtype, copy=False)
             for layer in self.layers[:self._trunk_end]:
                 y = layer.forward(y, tape)
             pooled.append(y)
-        x = np.concatenate(pooled)
+        x = np.concatenate(pooled).astype(np.float64, copy=False)
         for layer in self.layers[self._trunk_end:]:
             x = layer.forward(x, tape)
         return x.reshape(-1)
@@ -469,7 +483,9 @@ class Network:
             d = layer.backward(d, saved, input_grad=index > 0)
 
     def forward_batch(self, batch) -> np.ndarray:
-        z = np.clip(self.logits(batch), -_LOGIT_CAP, _LOGIT_CAP)
+        """Probability per patch, for ranking: the trunk runs in float32 on
+        weights cast afresh each call, so an in-place edit always shows."""
+        z = np.clip(self._logits(batch, None, np.float32), -_LOGIT_CAP, _LOGIT_CAP)
         return _sigmoid(z)
 
 

@@ -232,15 +232,14 @@ def map_jobs(fn, tasks, jobs: int) -> list:
 
 
 def _synthesize_pair(args) -> None:
-    sharp_path, kernel_path, out_path, sigma, seed = args
-    sharp = read_image(sharp_path)
-    k = read_kernel(kernel_path)
-    blurred = blur_image(sharp, k, NoiseModel(sigma=sigma, seed=seed))
-    write_image(blurred, out_path)
+    sharp, k, out_path, sigma, seed = args
+    write_image(blur_image(sharp, k, NoiseModel(sigma=sigma, seed=seed)), out_path)
 
 
 def generate_corpus(sharp_dir, kernel_dir, noise: NoiseModel, out_dir, *, jobs: int = 1) -> CorpusManifest:
-    """Blur every (sharp, kernel) pair into out_dir and write manifest.json."""
+    """Blur every (sharp, kernel) pair into out_dir and write manifest.json.
+    Every input is decoded once, before out_dir is created, so a malformed
+    one leaves no directory behind."""
     _check_jobs(jobs)
     sharp_dir, kernel_dir, out_dir = Path(sharp_dir), Path(kernel_dir), Path(out_dir)
     sharp_files = sorted(
@@ -251,8 +250,10 @@ def generate_corpus(sharp_dir, kernel_dir, noise: NoiseModel, out_dir, *, jobs: 
         raise ValidationError(f"no .pgm/.pfm images found in {sharp_dir}")
     if not kernel_files:
         raise ValidationError(f"no .txt kernels found in {kernel_dir}")
-    for kf in kernel_files:
-        _warn_kernel_range(kf, read_kernel(kf))
+    kernels = {kf: read_kernel(kf) for kf in kernel_files}
+    for kf, k in kernels.items():
+        _warn_kernel_range(kf, k)
+    sharps = {sp: read_image(sp) for sp in sharp_files}
 
     entries = []
     tasks = []
@@ -263,7 +264,7 @@ def generate_corpus(sharp_dir, kernel_dir, noise: NoiseModel, out_dir, *, jobs: 
             raise ValidationError(f"duplicate output name {name}; rename inputs")
         seen.add(name)
         seed = derive_seed(noise.seed, index)
-        tasks.append((str(sp), str(kf), str(out_dir / name), noise.sigma, seed))
+        tasks.append((sharps[sp], kernels[kf], str(out_dir / name), noise.sigma, seed))
         entries.append(
             CorpusEntry(
                 sharp_path=os.path.relpath(sp, out_dir),

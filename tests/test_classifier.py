@@ -25,8 +25,12 @@ from regiondeblur.classifier import (
     write_training_log,
     _Layer,
     _LAYER_TYPES,
+    _LOGIT_CAP,
+    _im2col,
     _layer_args,
+    _sigmoid,
 )
+from regiondeblur.demodata import eval_scene
 from regiondeblur.errors import DimensionError, ModelFormatError, ValidationError
 from regiondeblur.imagecore import Image
 
@@ -168,6 +172,54 @@ def test_tiled_inference_matches_the_whole_batch_pass(side, count):
     x = np.random.default_rng(side).uniform(0, 1, (count, side, side))
     assert np.array_equal(net.logits(x), net.logits(x, tape=[]))
     assert net.logits(x[:0]).shape == (0,)
+
+
+def _float64_probabilities(net, batch):
+    """forward_batch's probabilities with the whole pass in float64."""
+    return _sigmoid(np.clip(net.logits(batch), -_LOGIT_CAP, _LOGIT_CAP))
+
+
+def _scene_patches(count, side, seed):
+    rng = np.random.default_rng(seed)
+    scene = eval_scene(2 * side, seed=seed).pixels
+    corners = rng.integers(0, side + 1, (count, 2))
+    return np.stack([scene[r:r + side, c:c + side] for r, c in corners])
+
+
+def test_scoring_pass_stays_within_1e6_of_float64_and_ranks_alike():
+    # 37 patches of 64 px run as two 16-patch tiles and a partial one of 5.
+    net = build_small_resnet(seed=5, input_side=64)
+    x = _scene_patches(37, 64, seed=9)
+    probs = net.forward_batch(x)
+    want = _float64_probabilities(net, x)
+    assert probs.dtype == np.float64 and np.ptp(want) > 1e-3
+    assert np.max(np.abs(probs - want)) < 1e-6
+    assert np.array_equal(np.argsort(-probs, kind="stable"), np.argsort(-want, kind="stable"))
+
+
+def test_scoring_pass_sees_weights_edited_in_place():
+    """Each scoring pass casts the current weights, so nothing goes stale
+    after training or any other in-place edit."""
+    net = build_small_resnet(seed=6, input_side=64)
+    x = _scene_patches(8, 64, seed=10)
+    before = net.forward_batch(x)
+    rng = np.random.default_rng(11)
+    for p in net.parameters():
+        p += rng.normal(0.0, 0.05, p.shape)
+    after = net.forward_batch(x)
+    assert np.max(np.abs(after - before)) > 1e-3
+    assert np.max(np.abs(after - _float64_probabilities(net, x))) < 1e-6
+
+
+@pytest.mark.parametrize("side", [64, 228])
+def test_mixed_patch_sides_raise_dimension_error_at_any_tile_size(side):
+    # 64 px patches share a 16-patch tile; a 228 px patch is a tile alone.
+    net = build_small_resnet(seed=0, input_side=side)
+    good = np.zeros((side, side))
+    with pytest.raises(DimensionError, match=f"does not match network input side {side}"):
+        net.forward_batch([good, np.zeros((side - 1, side - 1))])
+    with pytest.raises(DimensionError, match=r"expected \(N, side, side\) patches"):
+        net.logits([good, good[None]])
 
 
 def test_inference_memory_is_bounded_per_tile():
@@ -318,6 +370,28 @@ def test_conv_matches_the_padded_reference_bit_for_bit(n, c, out_channels, k, st
     expected = _padded_conv(conv, x, dout)
     for got, want in zip((out, conv.grad_weight, conv.grad_bias, dx), expected):
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@given(n=st.integers(0, 3), c=st.integers(1, 4), out_channels=st.integers(1, 3),
+       k=st.sampled_from([1, 3, 5, 7]), stride=st.sampled_from([1, 2]),
+       h=st.integers(1, 12), w=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+def test_float32_conv_stays_near_the_padded_reference(n, c, out_channels, k, stride, h, w, seed):
+    """A float32 input keeps float32 through im2col (exact copies of its
+    values) and the convolution, whose output stays within float32
+    rounding of the float64 reference."""
+    rng = np.random.default_rng(seed)
+    conv = Conv2d(c, out_channels, k, stride, rng)
+    conv.bias[...] = rng.normal(size=out_channels)
+    x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+    oh, ow = conv.out_hw(h, w)
+    cols = _im2col(x, k, stride, conv.pad, oh, ow)
+    padded = np.pad(x, ((0, 0), (0, 0), (conv.pad, conv.pad), (conv.pad, conv.pad)))
+    assert cols.dtype == np.float32
+    assert np.array_equal(cols, _padded_im2col(padded, k, stride, oh, ow))
+    out = conv.forward(x)
+    want = _padded_conv(conv, x.astype(np.float64), np.zeros((n, out_channels, oh, ow)))[0]
+    assert out.dtype == np.float32 and out.shape == want.shape
+    np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-5)
 
 
 @pytest.mark.parametrize("first", ["conv", "residual"])

@@ -338,6 +338,23 @@ def test_rejected_synthesize_leaves_no_out_dir(pipeline, tmp_path, capsys, jobs,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_undecodable_sharp_image_leaves_no_out_dir(pipeline, tmp_path, capsys, jobs):
+    """A sharp image is decoded before out_dir is made, so it exits 3 with nothing written."""
+    sharp = tmp_path / "sharp"
+    sharp.mkdir()
+    write_image(eval_scene(32, seed=1), sharp / "a.pgm")
+    (sharp / "b.pfm").write_bytes(b"Pf\n1 1\n-1.0\n" + np.array([np.nan], dtype="<f4").tobytes())
+    code = main([
+        "synthesize", "--sharp-dir", str(sharp),
+        "--kernel-dir", str(pipeline["kernels"]), "--out-dir", str(tmp_path / "out"),
+        "--jobs", jobs,
+    ])
+    assert code == EXIT_FORMAT
+    assert "b.pfm" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_required_option(capsys):
     assert main(["label", "--out-dir", "somewhere"]) == EXIT_VALIDATION
     assert "--manifest" in capsys.readouterr().err
@@ -535,6 +552,15 @@ def test_edited_model_file_exits_cleanly(fuzz_model, edit):
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FORMAT)
 
 
+def _edit_bytes(data: bytes, position: int, cut: int, insert: bytes) -> bytes:
+    position %= len(data) + 1
+    return data[:position] + insert + data[position + cut:]
+
+
+_BYTE_EDITS = dict(position=st.integers(0, 1 << 12), cut=st.integers(0, 4),
+                   insert=st.binary(max_size=4))
+
+
 @pytest.fixture(scope="module")
 def fuzz_readers(tmp_path_factory):
     """Valid bytes of a 24 px PGM, a 24 px PFM and an 11 x 11 kernel file."""
@@ -560,11 +586,71 @@ def test_edited_image_or_kernel_bytes_exit_cleanly(fuzz_readers, name, position,
         (root / directory).mkdir()
     for file_name, data in files.items():
         if file_name == name:
-            position %= len(data) + 1
-            data = data[:position] + insert + data[position + cut:]
+            data = _edit_bytes(data, position, cut, insert)
         (root / ("kernels" if file_name == "k.txt" else "sharp") / file_name).write_bytes(data)
     code = main(["synthesize", "--sharp-dir", str(root / "sharp"),
                  "--kernel-dir", str(root / "kernels"), "--out-dir", str(root / "out")])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FORMAT)
+
+
+@pytest.fixture(scope="module")
+def fuzz_manifest(tmp_path_factory):
+    """A one-image corpus of a 24 px scene and a 5 x 5 kernel, and its manifest bytes."""
+    root = tmp_path_factory.mktemp("fuzz_manifest")
+    (root / "sharp").mkdir()
+    (root / "kernels").mkdir()
+    write_image(eval_scene(24, seed=5), root / "sharp" / "a.pgm")
+    write_kernel(random_motion_kernel(5, seed=62), root / "kernels" / "k.txt")
+    with pytest.warns(UserWarning, match="outside the usual"):
+        assert main(["synthesize", "--sharp-dir", str(root / "sharp"), "--kernel-dir",
+                     str(root / "kernels"), "--out-dir", str(root / "corpus")]) == EXIT_OK
+    return root, (root / "corpus" / "manifest.json").read_bytes()
+
+
+@given(**_BYTE_EDITS)
+def test_edited_manifest_bytes_exit_cleanly(fuzz_manifest, position, cut, insert):
+    """Replacing up to four bytes of a manifest by up to four others never
+    raises: label succeeds, rejects its input (2) or reports a malformed
+    file (3)."""
+    root, data = fuzz_manifest
+    path = root / "corpus" / "edited.json"
+    path.write_bytes(_edit_bytes(data, position, cut, insert))
+    code = main(["label", "--manifest", str(path), "--out-dir", str(root / "out"),
+                 "--patch-size", "16", "--stride", "8", "--kernel-size", "5"])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FORMAT)
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    """Valid config bytes for select (a 32 px model on a 40 px image) and for
+    synthesize (a 24 px scene and an 11 x 11 kernel)."""
+    root = tmp_path_factory.mktemp("fuzz_config")
+    save_model(build_small_resnet(seed=0, input_side=32), root / "model.bin")
+    write_image(eval_scene(40, seed=2), root / "image.pfm")
+    (root / "sharp").mkdir()
+    (root / "kernels").mkdir()
+    write_image(eval_scene(24, seed=6), root / "sharp" / "a.pgm")
+    write_kernel(random_motion_kernel(11, seed=63), root / "kernels" / "k.txt")
+    configs = {
+        "select": {"model": str(root / "model.bin"), "image": str(root / "image.pfm"),
+                   "stride": 8, "top": 2},
+        "synthesize": {"sharp_dir": str(root / "sharp"), "kernel_dir": str(root / "kernels"),
+                       "sigma": 2.0, "seed": 4},
+    }
+    return root, {command: json.dumps(cfg).encode() for command, cfg in configs.items()}
+
+
+@given(command=st.sampled_from(["select", "synthesize"]), **_BYTE_EDITS)
+def test_edited_config_bytes_exit_cleanly(fuzz_config, command, position, cut, insert):
+    """Replacing up to four bytes of a --config file by up to four others
+    never raises: the command succeeds, rejects its input (2) or reports a
+    malformed file (3). synthesize takes --out-dir and --jobs as flags, which
+    win over anything the edit puts in the file."""
+    root, configs = fuzz_config
+    path = root / "config.json"
+    path.write_bytes(_edit_bytes(configs[command], position, cut, insert))
+    flags = ["--out-dir", str(root / "out"), "--jobs", "1"] if command == "synthesize" else []
+    code = main([command, "--config", str(path), *flags])
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FORMAT)
 
 

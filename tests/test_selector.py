@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from regiondeblur.classifier import Conv2d, Dense, GlobalAveragePool, Network, build_small_resnet
+from regiondeblur.classifier import (
+    Conv2d,
+    Dense,
+    GlobalAveragePool,
+    Network,
+    build_small_resnet,
+    _LOGIT_CAP,
+    _sigmoid,
+)
 from regiondeblur.demodata import eval_scene
 from regiondeblur.errors import DimensionError, ValidationError
 from regiondeblur.imagecore import Image
@@ -47,15 +55,16 @@ def test_score_patches_ties_rank_row_major():
     assert all(r.score == 0.5 for r in ranked)
 
 
-def _reference_scores(net, image, grid, batch_size=64):
+def _reference_scores(net, image, grid, batch_size=64, probabilities=None):
     """Copy each chunk of `batch_size` grid patches out and stack them before
-    scoring: the chunked loop that views of the image replaced."""
+    scoring: the chunked loop that views of the image replaced. Scores come
+    from `probabilities(batch)`, by default `net.forward_batch`."""
     refs = patch_grid(image, grid)
     scores = np.empty(len(refs))
     for start in range(0, len(refs), batch_size):
         chunk = refs[start:start + batch_size]
         batch = np.stack([extract(image, r).pixels for r in chunk])
-        scores[start:start + len(chunk)] = net.forward_batch(batch)
+        scores[start:start + len(chunk)] = (probabilities or net.forward_batch)(batch)
     order = sorted(range(len(refs)), key=lambda i: (-scores[i], refs[i].row0, refs[i].col0))
     return [RankedPatch(ref=refs[i], score=float(scores[i])) for i in order]
 
@@ -68,6 +77,19 @@ def test_views_score_as_the_chunked_copies_do(side, image_side, stride):
     image = eval_scene(image_side, seed=7)
     grid = PatchGridSpec(patch_size=side, stride=stride)
     assert score_patches(net, image, grid) == _reference_scores(net, image, grid)
+
+
+def test_float32_scores_rank_a_228_px_grid_as_float64_does():
+    net = build_small_resnet(seed=3, input_side=228)
+    image = eval_scene(384, seed=11)
+    grid = PatchGridSpec(patch_size=228, stride=52)
+    ranked = score_patches(net, image, grid)
+    want = _reference_scores(net, image, grid, probabilities=lambda batch: _sigmoid(
+        np.clip(net.logits(batch), -_LOGIT_CAP, _LOGIT_CAP)))
+    scores = [r.score for r in want]
+    assert len(want) == 16 and max(scores) - min(scores) > 1e-3
+    assert [r.ref for r in ranked] == [r.ref for r in want]
+    assert max(abs(r.score - w.score) for r, w in zip(ranked, want)) < 1e-6
 
 
 def test_score_patches_memory_is_one_tile_not_one_chunk():
