@@ -32,7 +32,7 @@ from .imagecore import (
 )
 from .kernelsim import LabelConfig, kernel_similarity, label
 from .labeling import LabeledDataset, build_dataset, load_training_samples
-from .selector import score_patches, select_top
+from .selector import score_patches
 from .synthesis import CorpusManifest, NoiseModel, PatchGridSpec, PatchRef, blur_image, generate_corpus
 
 __version__ = "0.1.0"
@@ -77,7 +77,6 @@ __all__ = [
     "resample",
     "save_model",
     "score_patches",
-    "select_top",
     "solve_latent",
     "success_curve",
     "train",

@@ -34,7 +34,7 @@ from .errors import (
     RegionDeblurError,
     ValidationError,
 )
-from .estimator import LATENT_REG, EstimatorConfig, deconvolve, estimate_kernel
+from .estimator import EstimatorConfig, deconvolve, estimate_kernel
 from .evaluation import (
     EVAL_METHODS,
     evaluate_pipeline,
@@ -50,7 +50,7 @@ from .labeling import (
     class_balance_report,
     load_training_samples,
 )
-from .selector import annotate_selection, score_patches, select_top
+from .selector import annotate_selection, score_patches
 from .synthesis import (
     CorpusManifest,
     NoiseModel,
@@ -137,7 +137,6 @@ _COMMAND_OPTIONS = {
         "kernel_size": Option(integer, None),
         "out_dir": Option(str, None),
         "stride": Option(integer, 20),
-        "latent_reg": Option(number, LATENT_REG),
     },
     "evaluate": {
         "manifest": Option(str, None),
@@ -251,10 +250,12 @@ def _cmd_train(opts: dict) -> int:
 
 
 def _cmd_select(opts: dict) -> int:
+    if opts["top"] < 1:
+        raise ValidationError(f"top must be positive, got {opts['top']}")
     net = load_model(opts["model"])
     image = read_image(opts["image"])
     grid = PatchGridSpec(patch_size=net.input_side, stride=opts["stride"])
-    ranked = select_top(score_patches(net, image, grid), opts["top"])
+    ranked = score_patches(net, image, grid)[:opts["top"]]
     for rp in ranked:
         print(f"{rp.ref.row0} {rp.ref.col0} {rp.score:.6f}")
     if opts["out_json"]:
@@ -274,7 +275,7 @@ def _cmd_deblur(opts: dict) -> int:
     image = read_image(opts["image"])
     grid = PatchGridSpec(patch_size=net.input_side, stride=opts["stride"])
     cfg = EstimatorConfig(kernel_size=opts["kernel_size"])
-    best = select_top(score_patches(net, image, grid), 1)[0]
+    best = score_patches(net, image, grid)[0]
     estimate = estimate_kernel(extract(image, best.ref), cfg)
     if estimate.degenerate:
         print(
@@ -282,7 +283,7 @@ def _cmd_deblur(opts: dict) -> int:
             "output equals the input",
             file=sys.stderr,
         )
-    latent = deconvolve(image, estimate.kernel, opts["latent_reg"])
+    latent = deconvolve(image, estimate.kernel)
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     write_kernel(estimate.kernel, out_dir / "kernel.txt")

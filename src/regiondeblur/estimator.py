@@ -12,7 +12,11 @@ Callers choose only the kernel size (`EstimatorConfig`). Seven settings are
 fixed module constants, collected in `SETTINGS`: the pyramid ratio between
 levels, the iterations per level, the kernel solve's damping, the latent
 solve's gradient penalty, the fraction of gradients kept, the number of
-shock-filter iterations, and the presmoothing sigma.
+shock-filter iterations, and the presmoothing sigma. `estimate_kernel`
+returns only the final kernel and whether it fell back to the delta.
+`deconvolve` is the one clip-and-solve step, always at `LATENT_REG`: the
+estimator's latent updates and every caller that deblurs an image share it.
+`solve_latent` keeps its weight as a parameter for tests that vary it.
 
 Both solves work on real half spectra (rfft2/irfft2). Transforms per call:
 predict_gradients none; solve_kernel five (four forward, one inverse);
@@ -76,16 +80,14 @@ class EstimatorConfig:
 class PyramidLevel:
     image: Image
     kernel_size: int
-    scale: float
 
 
 @dataclass(frozen=True)
 class KernelEstimate:
-    """Final kernel plus per-level snapshots; `degenerate` flags the delta fallback."""
+    """Final kernel; `degenerate` flags the delta fallback."""
 
     kernel: Kernel
     degenerate: bool
-    per_level: tuple[Kernel, ...]
 
 
 def _nearest_odd(value: float) -> int:
@@ -107,7 +109,7 @@ def build_pyramid(blurred: Image, cfg: EstimatorConfig) -> tuple[PyramidLevel, .
         scale = PYRAMID_RATIO ** (n - 1 - idx)
         size = _nearest_odd(cfg.kernel_size * scale)
         img = blurred if scale == 1.0 else resample(blurred, scale)
-        levels.append(PyramidLevel(image=img, kernel_size=size, scale=scale))
+        levels.append(PyramidLevel(image=img, kernel_size=size))
     return tuple(levels)
 
 
@@ -191,9 +193,9 @@ def solve_latent(blurred: Image, k: Kernel, reg: float = LATENT_REG) -> Image:
     return Image(latent)
 
 
-def deconvolve(blurred: Image, kernel: Kernel, reg: float = LATENT_REG) -> Image:
-    """Recover the latent image under ``kernel``, clipped to [0, 1]."""
-    return Image(np.clip(solve_latent(blurred, kernel, reg).pixels, 0.0, 1.0))
+def deconvolve(blurred: Image, kernel: Kernel) -> Image:
+    """Recover the latent image under ``kernel`` at `LATENT_REG`, clipped to [0, 1]."""
+    return Image(np.clip(solve_latent(blurred, kernel).pixels, 0.0, 1.0))
 
 
 def _power(spectrum: np.ndarray) -> np.ndarray:
@@ -248,7 +250,6 @@ def estimate_kernel(blurred: Image, cfg: EstimatorConfig) -> KernelEstimate:
     """
     pyramid = build_pyramid(blurred, cfg)
     kernel: Kernel | None = None
-    per_level: list[Kernel] = []
     for level_index, level in enumerate(pyramid):
         observed = level.image.pixels
         window = taper_window(observed.shape, (level.kernel_size, level.kernel_size))
@@ -271,10 +272,7 @@ def estimate_kernel(blurred: Image, cfg: EstimatorConfig) -> KernelEstimate:
             except DegenerateInputError:
                 pass
         if level_index == 0 and not solved:
-            delta = Kernel.delta(cfg.kernel_size)
-            return KernelEstimate(kernel=delta, degenerate=True, per_level=(Kernel.delta(level.kernel_size),))
-        current = _recenter(current)
-        per_level.append(current)
-        kernel = current
-    return KernelEstimate(kernel=kernel, degenerate=False, per_level=tuple(per_level))
+            return KernelEstimate(kernel=Kernel.delta(cfg.kernel_size), degenerate=True)
+        kernel = _recenter(current)
+    return KernelEstimate(kernel=kernel, degenerate=False)
 

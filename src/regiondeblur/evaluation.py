@@ -20,7 +20,7 @@ from .errors import DegenerateDenominatorError, DimensionError, RegionDeblurErro
 from .estimator import EstimatorConfig, deconvolve, estimate_kernel, solve_latent  # noqa: F401
 from .imagecore import Image, read_image, read_kernel
 from .kernelsim import kernel_similarity
-from .selector import score_patches, select_top
+from .selector import score_patches
 from .synthesis import CorpusManifest, PatchGridSpec, PatchRef, derive_seed, extract, patch_grid
 
 EVAL_CSV_HEADER = "image_id,method,ER,PSNR_dB,similarity,patch_row,patch_col,status"
@@ -212,6 +212,10 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
     Per-image failures become status rows instead of aborting the run.
     """
     methods = tuple(methods)
+    if not methods:
+        raise ValidationError("no evaluation methods requested")
+    if len(set(methods)) != len(methods):
+        raise ValidationError(f"evaluation methods must not repeat, got {','.join(methods)}")
     for m in methods:
         if m not in EVAL_METHODS:
             raise ValidationError(f"unknown evaluation method {m!r}")
@@ -269,7 +273,7 @@ def _run_method(method, image_id, index, blurred, sharp, true_kernel,
         estimate = estimate_kernel(blurred, cfg)
     else:
         if method == "top":
-            ref = select_top(score_patches(net, blurred, grid), 1)[0].ref
+            ref = score_patches(net, blurred, grid)[0].ref
         elif method == "random":
             ref = _pick_random_ref(patch_grid(blurred, grid), derive_seed(master_seed, index))
         else:

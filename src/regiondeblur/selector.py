@@ -30,14 +30,6 @@ def score_patches(net: Network, image: Image, grid: PatchGridSpec) -> list[Ranke
     return [RankedPatch(ref=refs[i], score=float(scores[i])) for i in order]
 
 
-def select_top(ranked: list[RankedPatch], k: int = 1) -> list[RankedPatch]:
-    if k < 1:
-        raise ValidationError(f"k must be positive, got {k}")
-    if not ranked:
-        raise ValidationError("no patches to select from")
-    return list(ranked[:k])
-
-
 def annotate_selection(image: Image, ref: PatchRef) -> Image:
     """Burn a solid border `_BORDER` pixels wide around the patch into a copy."""
     px = np.array(image.pixels)

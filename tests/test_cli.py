@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import shlex
 import shutil
 import struct
 from pathlib import Path
@@ -10,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from regiondeblur.classifier import build_small_resnet, save_model
 from regiondeblur.cli import (
+    _COMMANDS,
     EXIT_FORMAT,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -18,7 +21,7 @@ from regiondeblur.cli import (
     resolve_options,
 )
 from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel
-from regiondeblur.estimator import LATENT_REG, EstimatorConfig, deconvolve, estimate_kernel
+from regiondeblur.estimator import EstimatorConfig, deconvolve, estimate_kernel
 from regiondeblur.evaluation import EVAL_CSV_HEADER
 from regiondeblur.imagecore import (
     Kernel,
@@ -146,8 +149,31 @@ def test_deblur_outputs(pipeline, tmp_path, capsys):
     kernel = estimate_kernel(extract(blurred, ref), EstimatorConfig(kernel_size=7)).kernel
     write_kernel(kernel, tmp_path / "expected.txt")
     assert (out / "kernel.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
-    latent = deconvolve(blurred, kernel, LATENT_REG)
+    latent = deconvolve(blurred, kernel)
     assert (out / "deblurred.pfm").read_bytes() == encode_pfm(latent)
+
+
+def test_deblur_has_no_latent_weight_option(pipeline, tmp_path, capsys):
+    """deblur deconvolves at the estimator's fixed weight, by flag or config file alike."""
+    argv = [
+        "deblur", "--model", str(pipeline["model"]), "--image", str(pipeline["blurred"]),
+        "--kernel-size", "7", "--stride", "32", "--out-dir", str(tmp_path / "out"),
+    ]
+    assert main(argv + ["--latent-reg", "0.01"]) == EXIT_VALIDATION
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"latent_reg": 0.01}))
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg)]) == EXIT_VALIDATION
+    assert "config key 'latent_reg' is not an option of 'deblur'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_select_rejects_top_below_one_before_reading_the_model(tmp_path, capsys):
+    image = tmp_path / "img.pgm"
+    write_image(flat_patch(32, 0.5), image)
+    argv = ["select", "--model", str(tmp_path / "no.bin"), "--image", str(image), "--top", "0"]
+    assert main(argv) == EXIT_VALIDATION
+    assert "top must be positive, got 0" in capsys.readouterr().err
 
 
 def test_deblur_degenerate_is_a_soft_failure(pipeline, tmp_path, capsys):
@@ -219,6 +245,42 @@ def test_evaluate_rejects_a_patch_size_its_model_cannot_score(pipeline, tmp_path
     ]) == EXIT_VALIDATION
     assert "patch size 48" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("methods, message", [
+    ("", "no evaluation methods requested"),
+    (",", "no evaluation methods requested"),
+    ("gt,gt", "must not repeat, got gt,gt"),
+], ids=["empty", "comma", "repeated"])
+def test_evaluate_rejects_an_empty_or_repeated_method_list(pipeline, tmp_path, capsys, methods,
+                                                           message):
+    """The method list is checked before any image is read, so nothing is written."""
+    out = tmp_path / "eval"
+    assert main([
+        "evaluate", "--manifest", str(pipeline["corpus"] / "manifest.json"), "--out-dir", str(out),
+        "--patch-size", "32", "--stride", "32", "--kernel-size", "7", "--methods", methods,
+    ]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_walkthrough_parses():
+    """Every `regiondeblur` command in the README's walkthrough uses only current options."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
+    commands = [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("regiondeblur ")
+    ]
+    assert sorted({argv[0] for argv in commands}) == sorted(_COMMANDS)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: regiondeblur {shlex.join(argv)}")
 
 
 def test_label_records_the_manifest_file_it_read(pipeline, tmp_path, capsys):

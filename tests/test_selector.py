@@ -20,7 +20,6 @@ from regiondeblur.selector import (
     RankedPatch,
     annotate_selection,
     score_patches,
-    select_top,
 )
 from regiondeblur.synthesis import PatchGridSpec, PatchRef, extract, patch_grid
 
@@ -115,17 +114,6 @@ def test_forward_batch_takes_a_list_of_views():
     assert np.array_equal(net.forward_batch(views), net.forward_batch(np.stack(views)))
     with pytest.raises(DimensionError, match="does not match network input side 228"):
         net.forward_batch(views + [windows[0, 0, :227, :227]])
-
-
-def test_select_top_truncates_and_validates():
-    ranked = [RankedPatch(ref=PatchRef(0, 0, 8), score=0.9),
-              RankedPatch(ref=PatchRef(0, 8, 8), score=0.4)]
-    assert select_top(ranked, 1) == [ranked[0]]
-    assert select_top(ranked, 5) == ranked
-    with pytest.raises(ValidationError):
-        select_top(ranked, 0)
-    with pytest.raises(ValidationError):
-        select_top([], 1)
 
 
 def test_annotate_selection_burns_border_only():
