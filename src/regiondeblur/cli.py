@@ -37,6 +37,7 @@ from .errors import (
 from .estimator import EstimatorConfig, deconvolve, estimate_kernel
 from .evaluation import (
     EVAL_METHODS,
+    check_methods,
     evaluate_pipeline,
     success_curve,
     write_eval_csv,
@@ -299,9 +300,9 @@ def _cmd_deblur(opts: dict) -> int:
 
 
 def _cmd_evaluate(opts: dict) -> int:
+    methods = check_methods(m.strip() for m in opts["methods"].split(",") if m.strip())
     manifest = CorpusManifest.load(opts["manifest"])
-    methods = tuple(m.strip() for m in opts["methods"].split(",") if m.strip())
-    net = load_model(opts["model"]) if opts["model"] else None
+    net = load_model(opts["model"]) if opts["model"] and "top" in methods else None
     grid = PatchGridSpec(patch_size=opts["patch_size"], stride=opts["stride"])
     est_cfg = EstimatorConfig(kernel_size=opts["kernel_size"])
     records = evaluate_pipeline(

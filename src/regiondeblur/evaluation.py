@@ -201,6 +201,20 @@ def _center_ref(image: Image, size: int) -> PatchRef:
     return PatchRef((image.height - size) // 2, (image.width - size) // 2, size)
 
 
+def check_methods(methods) -> tuple[str, ...]:
+    """The requested methods as a tuple; an empty, repeated or unknown one
+    raises `ValidationError`."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValidationError("no evaluation methods requested")
+    if len(set(methods)) != len(methods):
+        raise ValidationError(f"evaluation methods must not repeat, got {','.join(methods)}")
+    for m in methods:
+        if m not in EVAL_METHODS:
+            raise ValidationError(f"unknown evaluation method {m!r}")
+    return methods
+
+
 def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
                       est_cfg: EstimatorConfig, *, net=None,
                       methods=EVAL_METHODS, master_seed: int = 0) -> list[EvalRecord]:
@@ -211,14 +225,7 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
     ``gt`` (true kernel, a control whose error ratio is 1 by construction).
     Per-image failures become status rows instead of aborting the run.
     """
-    methods = tuple(methods)
-    if not methods:
-        raise ValidationError("no evaluation methods requested")
-    if len(set(methods)) != len(methods):
-        raise ValidationError(f"evaluation methods must not repeat, got {','.join(methods)}")
-    for m in methods:
-        if m not in EVAL_METHODS:
-            raise ValidationError(f"unknown evaluation method {m!r}")
+    methods = check_methods(methods)
     if "top" in methods and net is None:
         raise ValidationError("method 'top' needs a trained classifier")
     if "top" in methods and grid.patch_size != net.input_side:

@@ -186,9 +186,13 @@ def kernel_otf(weights, shape: tuple[int, int]) -> np.ndarray:
     h, w = shape
     if kh > h or kw > w:
         raise DimensionError(f"kernel {arr.shape} does not fit field {shape}")
+    # Each quadrant of the kernel goes to the matching corner of the field.
+    ph, pw = kh // 2, kw // 2
     big = np.zeros(shape)
-    big[:kh, :kw] = arr
-    big = np.roll(big, (-(kh // 2), -(kw // 2)), axis=(0, 1))
+    big[:kh - ph, :kw - pw] = arr[ph:, pw:]
+    big[:kh - ph, w - pw:] = arr[ph:, :pw]
+    big[h - ph:, :kw - pw] = arr[:ph, pw:]
+    big[h - ph:, w - pw:] = arr[:ph, :pw]
     return np.fft.rfft2(big)
 
 
@@ -210,15 +214,19 @@ def taper_window(shape: tuple[int, int], taper: tuple[int, int]) -> np.ndarray:
     return _taper_ramp(shape[0], taper[0])[:, None] * _taper_ramp(shape[1], taper[1])[None, :]
 
 
-def _periodic_taper(pixels: np.ndarray, otf: np.ndarray, taper: tuple[int, int]) -> np.ndarray:
-    """Blend the border band of `pixels` toward their circular blur by `otf`.
+def _periodic_taper(pixels: np.ndarray, otf: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Blend `pixels` toward their circular blur by `otf` where `window`
+    (a `taper_window` of the pixels' shape) falls below 1.
 
     Circular convolution equals the valid convolution of the periodically
     padded image with the centred kernel, so one OTF serves both this blur
     and any Wiener solve that follows."""
+    # The spectrum of `pixels` stays a temporary of this expression: from
+    # 256 KiB numpy then multiplies into it in place, as `spectrum * otf`.
+    # A caller-held spectrum would be multiplied as `otf * spectrum`, and
+    # the complex product's last bits depend on the operand order.
     blurred = np.fft.irfft2(otf * np.fft.rfft2(pixels), s=pixels.shape)
-    w2 = taper_window(pixels.shape, taper)
-    return w2 * pixels + (1.0 - w2) * blurred
+    return window * pixels + (1.0 - window) * blurred
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,34 @@ def test_evaluate_rejects_an_empty_or_repeated_method_list(pipeline, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("methods", ["", "gt,gt", "gt,bogus"])
+def test_evaluate_checks_methods_before_reading_any_file(tmp_path, capsys, methods):
+    """A keyless manifest and an unreadable model are never opened when the
+    method list is wrong: the run exits 2, not 3."""
+    (tmp_path / "m.json").write_text("{}")
+    (tmp_path / "bad.bin").write_bytes(b"not a model")
+    out = tmp_path / "eval"
+    assert main([
+        "evaluate", "--manifest", str(tmp_path / "m.json"), "--model", str(tmp_path / "bad.bin"),
+        "--out-dir", str(out), "--methods", methods,
+    ]) == EXIT_VALIDATION
+    assert "evaluation method" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_reads_the_model_only_for_top(pipeline, tmp_path):
+    """Without `top`, a corrupt `--model` is not read and changes no byte."""
+    (tmp_path / "bad.bin").write_bytes(b"not a model")
+    argv = [
+        "evaluate", "--manifest", str(pipeline["corpus"] / "manifest.json"),
+        "--patch-size", "32", "--stride", "32", "--kernel-size", "7", "--methods", "gt",
+    ]
+    plain, bad = tmp_path / "plain", tmp_path / "bad"
+    assert main(argv + ["--out-dir", str(plain)]) == EXIT_OK
+    assert main(argv + ["--out-dir", str(bad), "--model", str(tmp_path / "bad.bin")]) == EXIT_OK
+    assert (bad / "results.csv").read_bytes() == (plain / "results.csv").read_bytes()
+
+
 def test_readme_walkthrough_parses():
     """Every `regiondeblur` command in the README's walkthrough uses only current options."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -146,9 +146,21 @@ def test_edge_taper_preprocess_keeps_interior():
     rng = np.random.default_rng(46)
     img = Image(rng.uniform(0, 1, (40, 40)))
     k = random_kernel(rng, 7)
-    tapered = _periodic_taper(img.pixels, kernel_otf(k.weights, img.shape), (3, 3))
+    window = taper_window(img.shape, (3, 3))
+    tapered = _periodic_taper(img.pixels, kernel_otf(k.weights, img.shape), window)
     assert tapered.shape == img.shape
     assert np.array_equal(tapered[10:-10, 10:-10], img.pixels[10:-10, 10:-10])
+
+
+@pytest.mark.parametrize("kernel_shape", [(1, 1), (1, 5), (3, 1), (7, 7), (9, 9)])
+@pytest.mark.parametrize("shape", [(9, 9), (16, 15), (15, 16)])
+def test_kernel_otf_centres_the_kernel_on_the_origin(shape, kernel_shape):
+    """Bit for bit the transform of the kernel rolled to the origin."""
+    weights = np.random.default_rng(shape[1] * 10 + kernel_shape[0]).uniform(0, 1, kernel_shape)
+    big = np.zeros(shape)
+    big[:kernel_shape[0], :kernel_shape[1]] = weights
+    rolled = np.roll(big, (-(kernel_shape[0] // 2), -(kernel_shape[1] // 2)), axis=(0, 1))
+    assert np.array_equal(kernel_otf(weights, shape), np.fft.rfft2(rolled))
 
 
 @pytest.mark.parametrize("kernel_shape", [(3, 5), (5, 3), (7, 7)])
@@ -162,7 +174,7 @@ def test_edge_taper_matches_the_wrap_padded_convolution(shape, kernel_shape):
     taper = (kernel_shape[0] // 2, kernel_shape[1] // 2)
     w2 = taper_window(shape, taper)
     expected = w2 * pixels + (1.0 - w2) * blurred
-    tapered = _periodic_taper(pixels, kernel_otf(k.weights, shape), taper)
+    tapered = _periodic_taper(pixels, kernel_otf(k.weights, shape), w2)
     assert np.max(np.abs(tapered - expected)) < 1e-12
 
 
