@@ -307,7 +307,6 @@ def test_estimate_kernel_reports_every_level(roundtrip_cases):
         assert not estimate.degenerate
 
 
-
 # The estimator loop as it was before its per-level invariants were hoisted:
 # presmoothing by `gaussian_filter`, each shock step from `ndimage.convolve`
 # and `np.gradient`, a five-transform kernel solve that transforms the
