@@ -19,20 +19,19 @@ estimator's latent updates and every caller that deblurs an image share it.
 `solve_latent` keeps its weight as a parameter for tests that vary it.
 
 Both solves work on real half spectra (rfft2/irfft2). Transforms per call:
-predict_gradients none; solve_kernel five (four forward, one inverse);
-solve_latent five (the kernel's OTF, the edge taper's circular blur forward
-and back, the tapered image forward, the solution back), or three for a 1x1
-kernel, which needs no taper. The taper reuses the Wiener solve's OTF, and
-the gradient penalty |Dx|^2 + |Dy|^2 is closed-form, so no transform is
-spent on data that depends only on the image shape.
+predict_gradients none; solve_kernel three (the two latent gradients
+forward, the solution back), as its caller passes the observed gradients'
+half spectra; solve_latent five (the kernel's OTF, the edge taper's
+circular blur forward and back, the tapered image forward, the solution
+back), or three for a 1x1 kernel, which needs no taper. The taper reuses
+the Wiener solve's OTF, and the gradient penalty |Dx|^2 + |Dy|^2 is
+closed-form, so no transform is spent on data that depends only on the
+image shape.
 
-`estimate_kernel` computes what stays fixed within a pyramid level once per
-level: the observed gradients' spectra (2 transforms), the latent solve's
-taper window and its weighted gradient penalty. Each iteration then makes
-8 transforms (was 10): 3 in the kernel solve and 5 in the latent solve.
-The public solves are thin wrappers over the same private helpers the loop
-calls, so a level makes 42 transforms (the first level 37, as it skips one
-latent solve) and the results are bit-identical to solving from scratch.
+`estimate_kernel` transforms the observed gradients once per level (2
+transforms) and calls `solve_kernel` and `deconvolve` on every iteration
+(8 transforms), so a level makes 42 transforms and the first level 37, as
+it skips one latent solve.
 """
 
 from __future__ import annotations
@@ -202,25 +201,26 @@ def project_kernel(weights: np.ndarray) -> Kernel:
 
 def solve_kernel(
     grad_latent: tuple[np.ndarray, np.ndarray],
-    grad_blurred: tuple[np.ndarray, np.ndarray],
+    observed_spectra: tuple[np.ndarray, np.ndarray],
     size: int,
     reg: float = KERNEL_REG,
 ) -> Kernel:
-    """Least-squares kernel in the frequency domain, cropped and projected."""
+    """Least-squares kernel in the frequency domain, cropped and projected.
+
+    `observed_spectra` are the rfft2 half spectra of the observed gradients,
+    which stay fixed while the latent gradients change."""
     gx_s, gy_s = (np.asarray(g, dtype=np.float64) for g in grad_latent)
-    gx_b, gy_b = (np.asarray(g, dtype=np.float64) for g in grad_blurred)
-    if not (gx_s.shape == gy_s.shape == gx_b.shape == gy_b.shape):
+    fx_b, fy_b = (np.asarray(f) for f in observed_spectra)
+    h, w = gx_s.shape
+    if gy_s.shape != (h, w):
         raise DimensionError("gradient maps must share one shape")
+    if not (fx_b.shape == fy_b.shape == (h, w // 2 + 1)):
+        raise DimensionError(
+            f"spectra must be ({h}, {w // 2 + 1}), got {fx_b.shape} and {fy_b.shape}")
     if size < 1 or size % 2 == 0:
         raise ValidationError(f"kernel size must be odd and positive, got {size}")
-    if size > min(gx_s.shape):
+    if size > min(h, w):
         raise DimensionError(f"kernel size {size} exceeds gradient map dims {gx_s.shape}")
-    return _solve_kernel(gx_s, gy_s, np.fft.rfft2(gx_b), np.fft.rfft2(gy_b), size, reg)
-
-
-def _solve_kernel(gx_s: np.ndarray, gy_s: np.ndarray, fx_b: np.ndarray, fy_b: np.ndarray,
-                  size: int, reg: float) -> Kernel:
-    """`solve_kernel` given the observed gradients' half spectra."""
     if not np.any(gx_s) and not np.any(gy_s):
         raise DegenerateInputError("latent gradients are identically zero")
     fx_s = np.fft.rfft2(gx_s)
@@ -239,22 +239,12 @@ def solve_latent(blurred: Image, k: Kernel, reg: float = LATENT_REG) -> Image:
     """Gradient-penalized Wiener deconvolution with edge-tapered boundaries."""
     if not (reg > 0):
         raise ValidationError(f"reg must be positive, got {reg!r}")
-    shape = blurred.shape
-    window = None
+    pixels, shape = blurred.pixels, blurred.shape
+    otf = kernel_otf(k.weights, shape)
     if k.side_h > 1 or k.side_w > 1:
-        window = taper_window(shape, (k.side_h // 2, k.side_w // 2))
-    return Image(_solve_latent(blurred.pixels, k.weights, window, reg * _gradient_penalty(shape)))
-
-
-def _solve_latent(pixels: np.ndarray, weights: np.ndarray, window: np.ndarray | None,
-                  penalty: np.ndarray) -> np.ndarray:
-    """`solve_latent` given its edge-taper window (None: no taper) and its
-    weighted gradient penalty."""
-    otf = kernel_otf(weights, pixels.shape)
-    if window is not None:
-        pixels = _periodic_taper(pixels, otf, window)
-    denominator = _power(otf) + penalty
-    return np.fft.irfft2(np.conj(otf) * np.fft.rfft2(pixels) / denominator, s=pixels.shape)
+        pixels = _periodic_taper(pixels, otf, taper_window(shape, (k.side_h // 2, k.side_w // 2)))
+    denominator = _power(otf) + reg * _gradient_penalty(shape)
+    return Image(np.fft.irfft2(np.conj(otf) * np.fft.rfft2(pixels) / denominator, s=shape))
 
 
 def deconvolve(blurred: Image, kernel: Kernel) -> Image:
@@ -315,15 +305,11 @@ def estimate_kernel(blurred: Image, cfg: EstimatorConfig) -> KernelEstimate:
     pyramid = build_pyramid(blurred, cfg)
     kernel: Kernel | None = None
     for level_index, level in enumerate(pyramid):
-        observed = level.image.pixels
         size = level.kernel_size
-        # Fixed for the whole level: the observed gradients' spectra, the
-        # latent solve's edge taper and its gradient penalty.
-        window = taper_window(observed.shape, (size, size))
-        gx_b, gy_b = _forward_diff(observed)
-        fx_b, fy_b = np.fft.rfft2(gx_b * window), np.fft.rfft2(gy_b * window)
-        latent_window = taper_window(observed.shape, (size // 2, size // 2))
-        penalty = LATENT_REG * _gradient_penalty(observed.shape)
+        # The observed gradients' spectra stay fixed for the whole level.
+        window = taper_window(level.image.shape, (size, size))
+        gx_b, gy_b = _forward_diff(level.image.pixels)
+        observed_spectra = (np.fft.rfft2(gx_b * window), np.fft.rfft2(gy_b * window))
         if kernel is None:
             latent = level.image
             current = Kernel.delta(size)
@@ -332,11 +318,10 @@ def estimate_kernel(blurred: Image, cfg: EstimatorConfig) -> KernelEstimate:
         solved = False
         for iteration in range(ITERATIONS_PER_LEVEL):
             if kernel is not None or iteration > 0:
-                restored = _solve_latent(observed, current.weights, latent_window, penalty)
-                latent = Image(np.clip(restored, 0.0, 1.0))
+                latent = deconvolve(level.image, current)
             gx_s, gy_s = predict_gradients(latent)
             try:
-                current = _solve_kernel(gx_s * window, gy_s * window, fx_b, fy_b, size, KERNEL_REG)
+                current = solve_kernel((gx_s * window, gy_s * window), observed_spectra, size)
                 solved = True
             except DegenerateInputError:
                 pass

@@ -222,12 +222,15 @@ def _check_jobs(jobs: int) -> None:
 
 
 def map_jobs(fn, tasks, jobs: int) -> list:
-    """`[fn(t) for t in tasks]`, spread over `jobs` worker processes when
-    jobs > 1. Results keep task order, so they do not depend on `jobs`."""
+    """`[fn(t) for t in tasks]`, spread over at most `jobs` worker processes
+    and never more than there are tasks (a pool starts all its workers at
+    once); one worker runs in-process. Results keep task order, so they do
+    not depend on `jobs`."""
     _check_jobs(jobs)
-    if jobs == 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 

@@ -6,6 +6,7 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from regiondeblur import estimator
 from regiondeblur.demodata import random_motion_kernel, textured_scene
 from regiondeblur.errors import (
     DegenerateInputError,
@@ -118,10 +119,15 @@ def _circular_diff(arr):
     return gx, gy
 
 
+def _spectra(grads):
+    """The half spectra `solve_kernel` takes for the observed gradients."""
+    return tuple(np.fft.rfft2(g) for g in grads)
+
+
 def test_solve_kernel_identity_gives_delta():
     img = textured_scene(64, seed=5)
     grads = _circular_diff(img.pixels)
-    k = solve_kernel(grads, grads, 9)
+    k = solve_kernel(grads, _spectra(grads), 9)
     assert kernel_similarity(k, Kernel.delta(9)).value >= 0.99
 
 
@@ -130,7 +136,7 @@ def test_solve_kernel_recovers_forward_model():
     true_k = random_motion_kernel(9, seed=7)
     otf = kernel_otf(true_k.weights, latent.shape)
     blurred = np.fft.irfft2(np.fft.rfft2(latent.pixels) * otf, s=latent.shape)
-    k = solve_kernel(_circular_diff(latent.pixels), _circular_diff(blurred), 9)
+    k = solve_kernel(_circular_diff(latent.pixels), _spectra(_circular_diff(blurred)), 9)
     assert kernel_similarity(k, true_k).value >= 0.9
 
 
@@ -138,14 +144,18 @@ def test_solve_kernel_rejects_zero_latent_gradients():
     zeros = np.zeros((32, 32))
     ones = np.ones((32, 32))
     with pytest.raises(DegenerateInputError):
-        solve_kernel((zeros, zeros), (ones, ones), 5)
+        solve_kernel((zeros, zeros), _spectra((ones, ones)), 5)
 
 
 def test_solve_kernel_rejects_mismatched_shapes():
     a = np.zeros((16, 16))
-    b = np.zeros((16, 17))
-    with pytest.raises(DimensionError):
-        solve_kernel((a, a), (b, b), 5)
+    for grad_latent, observed_spectra in [
+        ((a, np.zeros((16, 17))), _spectra((a, a))),
+        ((a, a), _spectra((a, np.zeros((17, 16))))),
+        ((a, a), (np.fft.fft2(a), np.fft.fft2(a))),  # full spectra, not half
+    ]:
+        with pytest.raises(DimensionError):
+            solve_kernel(grad_latent, observed_spectra, 5)
 
 
 def test_solve_latent_recovers_smooth_image_through_identity():
@@ -233,7 +243,7 @@ def test_solve_kernel_matches_the_full_spectrum_solve(shape, size):
     grad_latent = _circular_diff(latent)
     grad_blurred = _circular_diff(blurred)
     for reg in (5.0, 0.01):
-        got = solve_kernel(grad_latent, grad_blurred, size, reg).weights
+        got = solve_kernel(grad_latent, _spectra(grad_blurred), size, reg).weights
         expected = _solve_kernel_fft2(grad_latent, grad_blurred, size, reg).weights
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -282,6 +292,48 @@ def test_estimate_kernel_fft_budget(transform_calls):
     estimate = estimate_kernel(img, EstimatorConfig(kernel_size=15))
     assert not estimate.degenerate
     assert len(transform_calls) <= 205
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Count the calls that reach the public `solve_kernel` and
+    `solve_latent`, and the kernel solves that raise."""
+    calls = {"solve_kernel": 0, "solve_latent": 0, "raised": 0}
+
+    def counted(name):
+        fn = getattr(estimator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            try:
+                return fn(*args, **kwargs)
+            except DegenerateInputError:
+                calls["raised"] += 1
+                raise
+        return wrapper
+
+    for name in ("solve_kernel", "solve_latent"):
+        monkeypatch.setattr(estimator, name, counted(name))
+    return calls
+
+
+def test_estimate_kernel_runs_every_step_through_the_public_solves(solve_calls):
+    """Each level solves the kernel on every iteration and the latent image
+    on every one but the first level's first."""
+    img = _blurred_patch(33)
+    cfg = EstimatorConfig(kernel_size=15)
+    levels = len(build_pyramid(img, cfg))
+    assert not estimate_kernel(img, cfg).degenerate
+    assert solve_calls == {"solve_kernel": ITERATIONS_PER_LEVEL * levels,
+                           "solve_latent": ITERATIONS_PER_LEVEL * levels - 1, "raised": 0}
+
+
+def test_estimate_kernel_degenerate_solves_raise_through_solve_kernel(solve_calls):
+    estimate = estimate_kernel(Image(np.full((48, 48), 0.6)), EstimatorConfig(kernel_size=9))
+    assert estimate.degenerate
+    assert solve_calls == {"solve_kernel": ITERATIONS_PER_LEVEL,
+                           "solve_latent": ITERATIONS_PER_LEVEL - 1,
+                           "raised": ITERATIONS_PER_LEVEL}
 
 
 def test_estimate_kernel_flat_image_degenerates_to_delta():
@@ -448,7 +500,7 @@ def test_solve_kernel_matches_the_reference_solve(shape, size):
     latent = textured_scene(64, seed=shape[1] + size).pixels[:shape[0], :shape[1]]
     blurred = convolve_direct(Image(latent), random_motion_kernel(9, seed=size)).pixels
     grads = (_forward_diff(latent), _forward_diff(blurred))
-    got = solve_kernel(*grads, size).weights
+    got = solve_kernel(grads[0], _spectra(grads[1]), size).weights
     assert np.array_equal(got, _reference_solve_kernel(*grads, size).weights)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from regiondeblur import synthesis
 from regiondeblur.demodata import random_motion_kernel, textured_scene
 from regiondeblur.errors import DimensionError, ValidationError
 from regiondeblur.imagecore import Image, Kernel, convolve_direct, read_image, write_image, write_kernel
@@ -212,3 +213,29 @@ def test_generate_corpus_warns_on_unusual_kernel_size(tmp_path):
 def test_map_jobs_rejects_non_positive_jobs():
     with pytest.raises(ValidationError):
         map_jobs(abs, [1], 0)
+
+
+@pytest.mark.parametrize("jobs, n_tasks, started", [
+    (16, 3, [3]), (2, 5, [2]), (16, 1, []), (4, 0, []), (1, 5, []),
+])
+def test_map_jobs_starts_no_more_workers_than_tasks(monkeypatch, jobs, n_tasks, started):
+    sizes = []
+
+    class RecordingExecutor:
+        """Records the pool size asked for and maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(synthesis, "ProcessPoolExecutor", RecordingExecutor)
+    assert map_jobs(abs, [-t for t in range(n_tasks)], jobs) == list(range(n_tasks))
+    assert sizes == started
