@@ -6,6 +6,8 @@ pixels, which keeps corpus generation and the test suite reproducible.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -14,24 +16,34 @@ from .imagecore import Image, Kernel, convolve_direct
 _BLUR3 = Kernel(np.full((3, 3), 1.0 / 9.0))
 
 
+def _span(centre: float, half: float, side: int) -> slice:
+    """Pixels within `half` of `centre` along one axis, padded by one pixel
+    and clipped to [0, side)."""
+    return slice(max(math.floor(centre - half) - 1, 0), min(math.floor(centre + half) + 2, side))
+
+
 def textured_scene(side: int = 256, seed: int = 0, blobs: int = 40) -> Image:
-    """Disks and rectangles at random intensities: edges at every orientation."""
+    """Disks and rectangles at random intensities: edges at every orientation.
+    Each blob's mask is evaluated on its padded bounding box only."""
     if side < 8:
         raise ValidationError(f"side must be at least 8, got {side}")
     rng = np.random.default_rng(seed)
     img = np.full((side, side), 0.5)
-    rows, cols = np.mgrid[0:side, 0:side]
     for _ in range(blobs):
         intensity = rng.uniform(0.05, 0.95)
         cy, cx = rng.uniform(0, side, 2)
         radius = rng.uniform(side / 16, side / 5)
         if rng.uniform() < 0.5:
+            box = (_span(cy, radius, side), _span(cx, radius, side))
+            rows, cols = np.ogrid[box]
             mask = (rows - cy) ** 2 + (cols - cx) ** 2 <= radius ** 2
         else:
             h = rng.uniform(side / 16, side / 4)
             w = rng.uniform(side / 16, side / 4)
+            box = (_span(cy, h / 2, side), _span(cx, w / 2, side))
+            rows, cols = np.ogrid[box]
             mask = (np.abs(rows - cy) <= h / 2) & (np.abs(cols - cx) <= w / 2)
-        img[mask] = intensity
+        img[box][mask] = intensity
     grain = rng.uniform(-1.0, 1.0, (side, side))
     grain = convolve_direct(Image(np.clip(grain * 0.5 + 0.5, 0, 1)), _BLUR3).pixels
     img = img + 0.06 * (grain - grain.mean())
@@ -82,21 +94,25 @@ def random_motion_kernel(side: int = 13, seed: int = 0, steps: int | None = None
     rng = np.random.default_rng(seed)
     if steps is None:
         steps = 6 * side
-    grid = np.zeros((side, side))
-    pos = np.array([side / 2.0, side / 2.0])
-    vel = rng.normal(0.0, 0.4, 2)
-    for _ in range(steps):
-        vel = 0.85 * vel + rng.normal(0.0, 0.25, 2)
-        pos = np.clip(pos + vel, 0.0, side - 1.001)
-        r0, c0 = int(pos[0]), int(pos[1])
-        fr, fc = pos[0] - r0, pos[1] - c0
-        grid[r0, c0] += (1 - fr) * (1 - fc)
+    # All steps' noise in one draw reads the same stream as a draw per step.
+    vr, vc = rng.normal(0.0, 0.4, 2).tolist()
+    noise = rng.normal(0.0, 0.25, (max(steps, 0), 2)).tolist()
+    top = side - 1.001
+    pr = pc = side / 2.0
+    grid = [[0.0] * side for _ in range(side)]
+    for nr, nc in noise:
+        vr, vc = 0.85 * vr + nr, 0.85 * vc + nc
+        pr, pc = min(max(pr + vr, 0.0), top), min(max(pc + vc, 0.0), top)
+        r0, c0 = int(pr), int(pc)
+        fr, fc = pr - r0, pc - c0
+        grid[r0][c0] += (1 - fr) * (1 - fc)
         if c0 + 1 < side:
-            grid[r0, c0 + 1] += (1 - fr) * fc
+            grid[r0][c0 + 1] += (1 - fr) * fc
         if r0 + 1 < side:
-            grid[r0 + 1, c0] += fr * (1 - fc)
+            grid[r0 + 1][c0] += fr * (1 - fc)
         if r0 + 1 < side and c0 + 1 < side:
-            grid[r0 + 1, c0 + 1] += fr * fc
+            grid[r0 + 1][c0 + 1] += fr * fc
+    grid = np.array(grid)
     blurred = np.array(convolve_direct(Image(grid / max(grid.max(), 1e-12)), _BLUR3).pixels)
     blurred[blurred < 0] = 0.0
     total = blurred.sum()

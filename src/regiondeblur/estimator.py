@@ -265,10 +265,13 @@ def _difference_power(n: int, count: int) -> np.ndarray:
     return power
 
 
+@functools.lru_cache(maxsize=64)
 def _gradient_penalty(shape: tuple[int, int]) -> np.ndarray:
     """|Dx|^2 + |Dy|^2 of the forward differences on the half spectrum."""
     h, w = shape
-    return _difference_power(h, h)[:, None] + _difference_power(w, w // 2 + 1)[None, :]
+    penalty = _difference_power(h, h)[:, None] + _difference_power(w, w // 2 + 1)[None, :]
+    penalty.flags.writeable = False
+    return penalty
 
 
 def _recenter(k: Kernel) -> Kernel:

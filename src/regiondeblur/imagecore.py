@@ -208,10 +208,13 @@ def _taper_ramp(n: int, t: int) -> np.ndarray:
     return ramp
 
 
+@functools.lru_cache(maxsize=64)
 def taper_window(shape: tuple[int, int], taper: tuple[int, int]) -> np.ndarray:
     """Separable raised-cosine window: 1 inside, rising over `taper` pixels
-    (per axis, at most half the side) at every border."""
-    return _taper_ramp(shape[0], taper[0])[:, None] * _taper_ramp(shape[1], taper[1])[None, :]
+    (per axis, at most half the side) at every border. Cached; read-only."""
+    window = _taper_ramp(shape[0], taper[0])[:, None] * _taper_ramp(shape[1], taper[1])[None, :]
+    window.flags.writeable = False
+    return window
 
 
 def _periodic_taper(pixels: np.ndarray, otf: np.ndarray, window: np.ndarray) -> np.ndarray:

@@ -185,6 +185,13 @@ def test_solve_latent_rejects_non_positive_reg():
         solve_latent(img, Kernel.delta(1), reg=0.0)
 
 
+def test_gradient_penalty_is_cached_and_read_only():
+    penalty = _gradient_penalty((40, 37))
+    assert _gradient_penalty((40, 37)) is penalty
+    assert not penalty.flags.writeable
+    assert penalty.shape == (40, 19)
+
+
 # The full-spectrum formulation the half-spectrum solves must reproduce:
 # complex fft2/ifft2 everywhere, and the edge taper as a valid convolution
 # of the wrap-padded image.
@@ -276,6 +283,7 @@ def _blurred_patch(seed):
 
 def test_solve_latent_makes_at_most_five_transforms(transform_calls):
     img = _blurred_patch(30)
+    transform_calls.clear()  # the input's FFT blur is not under test
     solve_latent(img, random_motion_kernel(15, seed=32))
     assert len(transform_calls) <= 5
 
@@ -289,6 +297,7 @@ def test_estimate_kernel_fft_budget(transform_calls):
     kernel solve, 5 for the latent solve), less the latent solve the first
     level skips: 42 * levels - 5, where it was 50 * levels - 5."""
     img = _blurred_patch(33)
+    transform_calls.clear()  # the input's FFT blur is not under test
     estimate = estimate_kernel(img, EstimatorConfig(kernel_size=15))
     assert not estimate.degenerate
     assert len(transform_calls) <= 205

@@ -11,6 +11,7 @@ from regiondeblur.imagecore import (
     Image,
     Kernel,
     _periodic_taper,
+    _taper_ramp,
     convolve_direct,
     convolve_fft,
     decode_pfm,
@@ -150,6 +151,13 @@ def test_edge_taper_preprocess_keeps_interior():
     tapered = _periodic_taper(img.pixels, kernel_otf(k.weights, img.shape), window)
     assert tapered.shape == img.shape
     assert np.array_equal(tapered[10:-10, 10:-10], img.pixels[10:-10, 10:-10])
+
+
+def test_taper_window_is_cached_and_read_only():
+    window = taper_window((40, 37), (3, 5))
+    assert taper_window((40, 37), (3, 5)) is window
+    assert not window.flags.writeable
+    assert np.array_equal(window, _taper_ramp(40, 3)[:, None] * _taper_ramp(37, 5)[None, :])
 
 
 @pytest.mark.parametrize("kernel_shape", [(1, 1), (1, 5), (3, 1), (7, 7), (9, 9)])

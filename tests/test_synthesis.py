@@ -6,9 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regiondeblur import synthesis
-from regiondeblur.demodata import random_motion_kernel, textured_scene
+from regiondeblur.demodata import eval_scene, random_motion_kernel, textured_scene
 from regiondeblur.errors import DimensionError, ValidationError
-from regiondeblur.imagecore import Image, Kernel, convolve_direct, read_image, write_image, write_kernel
+from regiondeblur.imagecore import (
+    Image,
+    Kernel,
+    convolve_direct,
+    convolve_fft,
+    read_image,
+    write_image,
+    write_kernel,
+)
 from regiondeblur.synthesis import (
     CorpusManifest,
     NoiseModel,
@@ -92,6 +100,37 @@ def test_blur_interior_is_local():
                               ref.col0 - half:ref.col0 + ref.size + half])
     local = convolve_direct(window, k).pixels[half:half + ref.size, half:half + ref.size]
     assert np.max(np.abs(extract(full, ref).pixels - local)) < 1e-10
+
+
+def test_blur_image_is_the_fft_blur_plus_seeded_noise():
+    img = eval_scene(64, seed=2)
+    k = random_motion_kernel(11, seed=3)
+    noise = NoiseModel(sigma=4.0, seed=21)
+    conv = convolve_fft(img, k).pixels
+    expected = np.clip(conv + np.random.default_rng(21).normal(0.0, 4.0 / 255.0, conv.shape), 0.0, 1.0)
+    assert np.array_equal(blur_image(img, k, noise).pixels, expected)
+
+
+@pytest.mark.parametrize("side", [64, 160, 384])
+@pytest.mark.parametrize("ksize", [11, 15, 27])
+def test_blur_image_matches_the_direct_route_before_noise(side, ksize):
+    img = eval_scene(side, seed=side + ksize)
+    k = random_motion_kernel(ksize, seed=ksize)
+    blurred = blur_image(img, k, NoiseModel(sigma=0.0, seed=0)).pixels
+    assert np.max(np.abs(blurred - convolve_direct(img, k).pixels)) <= 1e-14
+
+
+def test_generate_corpus_writes_the_bytes_of_the_direct_route(tmp_path, monkeypatch):
+    sharp_dir, kernel_dir = _make_inputs(tmp_path)
+    write_image(eval_scene(96, seed=4), sharp_dir / "scene.pgm")
+    write_kernel(random_motion_kernel(15, seed=5), kernel_dir / "k15.txt")
+    generate_corpus(sharp_dir, kernel_dir, NoiseModel(sigma=4.0, seed=6), tmp_path / "fft")
+    monkeypatch.setattr(synthesis, "convolve_fft", convolve_direct)
+    generate_corpus(sharp_dir, kernel_dir, NoiseModel(sigma=4.0, seed=6), tmp_path / "direct")
+    names = sorted(p.name for p in (tmp_path / "fft").glob("*.pfm"))
+    assert len(names) == 9
+    for name in names:
+        assert (tmp_path / "fft" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
 
 
 def test_patch_grid_counts_square():
