@@ -6,8 +6,9 @@ of a single image, deblur an image from its best patch, and benchmark
 selection strategies against baselines.
 
 Option precedence is builtin defaults, then a ``--config`` JSON file, then
-explicit flags. Every run that owns an output directory echoes its resolved
-options to ``run_config.json`` there.
+explicit flags. `main` runs every command the same way: after a command with
+an ``--out-dir`` succeeds, it echoes the resolved options to
+``run_config.json`` there.
 """
 
 from __future__ import annotations
@@ -189,40 +190,30 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     return merged
 
 
-def _echo_config(command: str, options: dict, out_dir: Path) -> None:
-    payload = {"command": command, "options": options}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "run_config.json", payload)
-
-
-def _cmd_synthesize(opts: dict) -> int:
+def _cmd_synthesize(opts: dict) -> None:
     out_dir = Path(opts["out_dir"])
     noise = NoiseModel(sigma=opts["sigma"], seed=opts["seed"])
     manifest = generate_corpus(
         opts["sharp_dir"], opts["kernel_dir"], noise, out_dir, jobs=opts["jobs"]
     )
-    _echo_config("synthesize", opts, out_dir)
     print(f"synthesized {len(manifest.entries)} blurred images into {out_dir}")
-    return EXIT_OK
 
 
-def _cmd_label(opts: dict) -> int:
+def _cmd_label(opts: dict) -> None:
     manifest = CorpusManifest.load(opts["manifest"])
     grid = PatchGridSpec(patch_size=opts["patch_size"], stride=opts["stride"])
     est_cfg = EstimatorConfig(kernel_size=opts["kernel_size"])
     label_cfg = LabelConfig(threshold=opts["threshold"])
     out_dir = Path(opts["out_dir"])
     dataset = build_dataset(manifest, grid, est_cfg, label_cfg, out_dir, jobs=opts["jobs"])
-    _echo_config("label", opts, out_dir)
     report = class_balance_report(dataset)
     print(
         f"labeled {report['total']} patches: {report['positives']} positive, "
         f"{report['negatives']} negative, {report['degenerate']} degenerate"
     )
-    return EXIT_OK
 
 
-def _cmd_train(opts: dict) -> int:
+def _cmd_train(opts: dict) -> None:
     dataset = LabeledDataset.load(opts["dataset"])
     samples = load_training_samples(dataset)
     if not samples:
@@ -241,16 +232,14 @@ def _cmd_train(opts: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(result.network, out_dir / "model.bin")
     write_training_log(result.epochs, out_dir / "training_log.csv")
-    _echo_config("train", opts, out_dir)
     last = result.epochs[-1]
     print(
         f"trained on {len(samples)} samples for {cfg.epochs} epochs; "
         f"final loss {last.mean_loss:.4f}, train accuracy {last.accuracy:.3f}"
     )
-    return EXIT_OK
 
 
-def _cmd_select(opts: dict) -> int:
+def _cmd_select(opts: dict) -> None:
     if opts["top"] < 1:
         raise ValidationError(f"top must be positive, got {opts['top']}")
     net = load_model(opts["model"])
@@ -268,10 +257,9 @@ def _cmd_select(opts: dict) -> int:
         write_json(opts["out_json"], rows)
     if opts["out_annotated"]:
         write_image(annotate_selection(image, ranked[0].ref), opts["out_annotated"])
-    return EXIT_OK
 
 
-def _cmd_deblur(opts: dict) -> int:
+def _cmd_deblur(opts: dict) -> None:
     net = load_model(opts["model"])
     image = read_image(opts["image"])
     grid = PatchGridSpec(patch_size=net.input_side, stride=opts["stride"])
@@ -291,15 +279,13 @@ def _cmd_deblur(opts: dict) -> int:
     write_image(latent, out_dir / "deblurred.pfm")
     write_image(latent, out_dir / "deblurred.pgm")
     write_image(annotate_selection(image, best.ref), out_dir / "selection.pgm")
-    _echo_config("deblur", opts, out_dir)
     print(
         f"deblurred {opts['image']} from patch "
         f"({best.ref.row0}, {best.ref.col0}) scored {best.score:.4f}"
     )
-    return EXIT_OK
 
 
-def _cmd_evaluate(opts: dict) -> int:
+def _cmd_evaluate(opts: dict) -> None:
     methods = check_methods(m.strip() for m in opts["methods"].split(",") if m.strip())
     manifest = CorpusManifest.load(opts["manifest"])
     net = load_model(opts["model"]) if opts["model"] and "top" in methods else None
@@ -315,21 +301,15 @@ def _cmd_evaluate(opts: dict) -> int:
     for method in methods:
         ratios = [r.error_ratio for r in records if r.method == method]
         curves[method] = success_curve(ratios)
-    write_success_curve_svg(curves, out_dir / "success_curve.svg")
-    _echo_config("evaluate", opts, out_dir)
-    for method in methods:
-        ratios = [
-            r.error_ratio for r in records
-            if r.method == method and not math.isnan(r.error_ratio)
-        ]
-        if ratios:
+        scored = [r for r in ratios if not math.isnan(r)]
+        if scored:
             print(
-                f"{method}: mean ER {statistics.fmean(ratios):.3f}, "
-                f"median ER {statistics.median(ratios):.3f} ({len(ratios)} images)"
+                f"{method}: mean ER {statistics.fmean(scored):.3f}, "
+                f"median ER {statistics.median(scored):.3f} ({len(scored)} images)"
             )
         else:
             print(f"{method}: no successful runs")
-    return EXIT_OK
+    write_success_curve_svg(curves, out_dir / "success_curve.svg")
 
 
 _COMMANDS = {
@@ -365,7 +345,12 @@ def main(argv=None) -> int:
         code = exc.code if exc.code is not None else 0
         return EXIT_OK if code == 0 else EXIT_VALIDATION
     try:
-        return args.func(resolve_options(args.command, args))
+        opts = resolve_options(args.command, args)
+        args.func(opts)
+        if "out_dir" in opts:
+            write_json(Path(opts["out_dir"]) / "run_config.json",
+                       {"command": args.command, "options": opts})
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -94,6 +94,11 @@ class EstimatorConfig:
         if self.kernel_size < 3 or self.kernel_size % 2 == 0:
             raise ValidationError(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
 
+    @classmethod
+    def for_kernel(cls, kernel: Kernel) -> "EstimatorConfig":
+        """The config that can represent ``kernel``: sized at its longer side."""
+        return cls(kernel_size=max(kernel.side_h, kernel.side_w))
+
 
 @dataclass(frozen=True)
 class PyramidLevel:

@@ -10,7 +10,7 @@ stay under each ratio threshold between 1 and 5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -190,15 +190,19 @@ def _interior_psnr(image: Image, reference: Image, margin: int) -> float:
     return psnr(Image(_interior(image.pixels, margin)), Image(_interior(reference.pixels, margin)))
 
 
-def _pick_random_ref(refs: list[PatchRef], seed: int) -> PatchRef:
-    rng = np.random.default_rng(seed)
-    return refs[int(rng.integers(len(refs)))]
-
-
-def _center_ref(image: Image, size: int) -> PatchRef:
-    if size > image.height or size > image.width:
-        raise DimensionError(f"patch {size} exceeds image {image.shape}")
-    return PatchRef((image.height - size) // 2, (image.width - size) // 2, size)
+def _region(method: str, blurred: Image, grid: PatchGridSpec, net, seed: int) -> PatchRef | None:
+    """The patch ``method`` estimates from; None for ``whole``, the full image."""
+    if method == "top":
+        return score_patches(net, blurred, grid)[0].ref
+    if method == "random":
+        refs = patch_grid(blurred, grid)
+        return refs[int(np.random.default_rng(seed).integers(len(refs)))]
+    if method == "center":
+        size = grid.patch_size
+        if size > blurred.height or size > blurred.width:
+            raise DimensionError(f"patch {size} exceeds image {blurred.shape}")
+        return PatchRef((blurred.height - size) // 2, (blurred.width - size) // 2, size)
+    return None
 
 
 def check_methods(methods) -> tuple[str, ...]:
@@ -223,7 +227,9 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
     Methods: ``top`` (best patch by classifier score), ``random`` (seeded
     uniform patch), ``whole`` (full image), ``center`` (centered patch), and
     ``gt`` (true kernel, a control whose error ratio is 1 by construction).
-    Per-image failures become status rows instead of aborting the run.
+    `_region` picks each method's patch; every estimate is made at the true
+    kernel's longer side (`EstimatorConfig.for_kernel`), so ``est_cfg`` is
+    unread. Per-image failures become status rows instead of aborting the run.
     """
     methods = check_methods(methods)
     if "top" in methods and net is None:
@@ -240,7 +246,7 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
         blurred = read_image(manifest.resolve(entry.blurred_path))
         sharp = read_image(manifest.resolve(entry.sharp_path))
         true_kernel = read_kernel(manifest.resolve(entry.kernel_path))
-        margin = true_kernel.side_h // 2
+        margin = max(true_kernel.side_h, true_kernel.side_w) // 2
         try:  # every method scores against the baseline
             baseline = align_to_reference(deconvolve(blurred, true_kernel), sharp, margin, margin)
         except RegionDeblurError as exc:
@@ -250,54 +256,23 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
             try:
                 if isinstance(baseline, RegionDeblurError):
                     raise baseline
-                records.append(_run_method(
-                    method, image_id, index, blurred, sharp, true_kernel,
-                    baseline, grid, est_cfg, net, master_seed, margin,
-                ))
+                if method == "gt":
+                    ref, recovered, similarity, status = None, baseline, 1.0, "ok"
+                else:
+                    cfg = EstimatorConfig.for_kernel(true_kernel)
+                    ref = _region(method, blurred, grid, net, derive_seed(master_seed, index))
+                    estimate = estimate_kernel(blurred if ref is None else extract(blurred, ref), cfg)
+                    recovered = align_to_reference(deconvolve(blurred, estimate.kernel), sharp,
+                                                   margin, margin)
+                    similarity = kernel_similarity(estimate.kernel, true_kernel).value
+                    status = "degenerate" if estimate.degenerate else "ok"
+                scores = (error_ratio(recovered, sharp, baseline, margin),
+                          _interior_psnr(recovered, sharp, margin), similarity)
+                corner = (None, None) if ref is None else (ref.row0, ref.col0)
             except RegionDeblurError as exc:
-                records.append(EvalRecord(
-                    image_id=image_id, method=method,
-                    error_ratio=math.nan, psnr_db=math.nan, similarity=math.nan,
-                    patch_row=None, patch_col=None,
-                    status=f"error:{type(exc).__name__}",
-                ))
+                scores, corner, status = (math.nan,) * 3, (None, None), f"error:{type(exc).__name__}"
+            records.append(EvalRecord(image_id, method, *scores, *corner, status))
     return records
-
-
-def _run_method(method, image_id, index, blurred, sharp, true_kernel,
-                baseline, grid, est_cfg, net, master_seed, margin) -> EvalRecord:
-    patch_row = patch_col = None
-    if method == "gt":
-        ratio = error_ratio(baseline, sharp, baseline, margin)
-        return EvalRecord(
-            image_id=image_id, method=method, error_ratio=ratio,
-            psnr_db=_interior_psnr(baseline, sharp, margin), similarity=1.0,
-            patch_row=None, patch_col=None, status="ok",
-        )
-
-    cfg = replace(est_cfg, kernel_size=true_kernel.side_h)
-    if method == "whole":
-        estimate = estimate_kernel(blurred, cfg)
-    else:
-        if method == "top":
-            ref = score_patches(net, blurred, grid)[0].ref
-        elif method == "random":
-            ref = _pick_random_ref(patch_grid(blurred, grid), derive_seed(master_seed, index))
-        else:
-            ref = _center_ref(blurred, grid.patch_size)
-        patch_row, patch_col = ref.row0, ref.col0
-        estimate = estimate_kernel(extract(blurred, ref), cfg)
-
-    recovered = deconvolve(blurred, estimate.kernel)
-    recovered = align_to_reference(recovered, sharp, margin, margin)
-    ratio = error_ratio(recovered, sharp, baseline, margin)
-    sim = kernel_similarity(estimate.kernel, true_kernel).value
-    return EvalRecord(
-        image_id=image_id, method=method, error_ratio=ratio,
-        psnr_db=_interior_psnr(recovered, sharp, margin), similarity=sim,
-        patch_row=patch_row, patch_col=patch_col,
-        status="degenerate" if estimate.degenerate else "ok",
-    )
 
 
 _SVG_COLORS = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#e67e22")

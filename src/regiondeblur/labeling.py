@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .classifier import TrainingSample
@@ -113,10 +113,10 @@ def estimator_fingerprint(cfg: EstimatorConfig) -> str:
 
 def _label_one_image(task):
     """Worker: similarity of every grid patch of one blurred image."""
-    blurred_path, kernel_path, grid, est_cfg = task
+    blurred_path, kernel_path, grid = task
     blurred = read_image(blurred_path)
     true_kernel = read_kernel(kernel_path)
-    cfg = replace(est_cfg, kernel_size=true_kernel.side_h)
+    cfg = EstimatorConfig.for_kernel(true_kernel)
     rows = []
     for ref in patch_grid(blurred, grid):
         estimate = estimate_kernel(extract(blurred, ref), cfg)
@@ -136,14 +136,15 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
     Images are labeled in ``jobs`` worker processes (``jobs`` must be >= 1;
     1 runs in-process) and reassembled in manifest order, so the dataset is
     identical for any job count. Each image is estimated at its true
-    kernel's size; ``est_cfg`` only enters the estimator fingerprint. With
-    ``out_dir`` the index is saved there as ``dataset.json``; its manifest
-    path points at the manifest's file if the manifest has a ``base_dir``.
+    kernel's longer side (`EstimatorConfig.for_kernel`); ``est_cfg`` only
+    enters the estimator fingerprint. With ``out_dir`` the index is saved
+    there as ``dataset.json``; its manifest path points at the manifest's
+    file if the manifest has a ``base_dir``.
     """
     if not manifest.entries:
         raise ValidationError("corpus manifest has no entries")
     tasks = [
-        (manifest.resolve(e.blurred_path), manifest.resolve(e.kernel_path), grid, est_cfg)
+        (manifest.resolve(e.blurred_path), manifest.resolve(e.kernel_path), grid)
         for e in manifest.entries
     ]
     results = map_jobs(_label_one_image, tasks, jobs)

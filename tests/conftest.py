@@ -23,8 +23,9 @@ from regiondeblur.demodata import (
     textured_scene,
 )
 from regiondeblur.estimator import EstimatorConfig, estimate_kernel
+from regiondeblur.imagecore import Kernel, write_image, write_kernel
 from regiondeblur.kernelsim import kernel_similarity
-from regiondeblur.synthesis import NoiseModel, blur_image
+from regiondeblur.synthesis import NoiseModel, blur_image, generate_corpus
 
 settings.register_profile("repo", deadline=None, max_examples=50)
 settings.load_profile("repo")
@@ -54,6 +55,22 @@ def roundtrip_cases():
         })
     FIXTURE_SECONDS["roundtrip_cases"] = time.perf_counter() - t0
     return cases
+
+
+@pytest.fixture(scope="session")
+def wide_kernel_corpus(tmp_path_factory):
+    """One 96 px scene blurred by an 11 x 15 kernel, a horizontal sweep that
+    wiggles up and down: only a square estimate of side 15 can hold it."""
+    root = tmp_path_factory.mktemp("wide_kernel_corpus")
+    weights = np.zeros((11, 15))
+    for col in range(1, 14):
+        weights[5 + round(3 * np.sin(col / 2.5)), col] = 1.0 + 0.1 * col
+    (root / "sharp").mkdir()
+    (root / "kernels").mkdir()
+    write_image(eval_scene(96, seed=7), root / "sharp" / "scene.pgm")
+    write_kernel(Kernel(weights / weights.sum()), root / "kernels" / "wide.txt")
+    return generate_corpus(root / "sharp", root / "kernels", NoiseModel(sigma=1.0, seed=5),
+                           root / "corpus")
 
 
 def _patch_families(count: int, seed_base: int):

@@ -69,13 +69,17 @@ def pipeline(tmp_path_factory):
     }
 
 
+def _run_config(out_dir: Path) -> dict:
+    return json.loads((out_dir / "run_config.json").read_text())
+
+
 def test_synthesize_outputs(pipeline):
     corpus = pipeline["corpus"]
     assert (corpus / "manifest.json").exists()
-    run = json.loads((corpus / "run_config.json").read_text())
-    assert run["command"] == "synthesize"
-    assert run["options"]["sigma"] == 1.0
-    assert run["options"]["seed"] == 5
+    assert _run_config(corpus) == {"command": "synthesize", "options": {
+        "sharp_dir": str(pipeline["sharp"]), "kernel_dir": str(pipeline["kernels"]),
+        "out_dir": str(corpus), "sigma": 1.0, "seed": 5, "jobs": 1,
+    }}
     assert pipeline["blurred"].exists()
 
 
@@ -101,8 +105,10 @@ def test_label_outputs_and_lambda_flag(pipeline):
     rows = json.loads((dataset / "dataset.json").read_text())
     assert rows["threshold"] == 0.6
     assert len(rows["samples"]) == 12
-    run = json.loads((dataset / "run_config.json").read_text())
-    assert run["options"]["threshold"] == 0.6
+    assert _run_config(dataset) == {"command": "label", "options": {
+        "manifest": str(pipeline["corpus"] / "manifest.json"), "out_dir": str(dataset),
+        "patch_size": 32, "stride": 32, "kernel_size": 7, "threshold": 0.6, "jobs": 1,
+    }}
 
 
 def test_train_outputs(pipeline):
@@ -111,9 +117,16 @@ def test_train_outputs(pipeline):
     log = (model_dir / "training_log.csv").read_text().splitlines()
     assert log[0] == "epoch,mean_loss,train_accuracy"
     assert len(log) == 7
+    assert _run_config(model_dir) == {"command": "train", "options": {
+        "dataset": str(pipeline["dataset"] / "dataset.json"), "out_dir": str(model_dir),
+        "epochs": 6, "batch_size": 8, "learning_rate": 0.01, "momentum": 0.9, "seed": 3,
+    }}
 
 
-def test_select_prints_ranked_patches(pipeline, capsys, tmp_path):
+def test_select_prints_ranked_patches(pipeline, capsys, tmp_path, monkeypatch):
+    """`select` has no output directory, so it echoes no run_config.json,
+    not even into the working directory."""
+    monkeypatch.chdir(tmp_path)
     out_json = tmp_path / "ranked.json"
     out_pgm = tmp_path / "annotated.pgm"
     assert main([
@@ -128,7 +141,7 @@ def test_select_prints_ranked_patches(pipeline, capsys, tmp_path):
     ranked = json.loads(out_json.read_text())
     assert [r["size"] for r in ranked] == [32, 32]
     assert ranked[0]["score"] >= ranked[1]["score"]
-    assert out_pgm.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["annotated.pgm", "ranked.json"]
 
 
 def test_deblur_outputs(pipeline, tmp_path, capsys):
@@ -142,8 +155,11 @@ def test_deblur_outputs(pipeline, tmp_path, capsys):
         "--stride", "32", "--out-dir", str(out),
     ]) == EXIT_OK
     assert f"from patch ({row0}, {col0})" in capsys.readouterr().out
-    for name in ("kernel.txt", "deblurred.pfm", "deblurred.pgm", "selection.pgm", "run_config.json"):
+    for name in ("kernel.txt", "deblurred.pfm", "deblurred.pgm", "selection.pgm"):
         assert (out / name).exists()
+    assert _run_config(out) == {"command": "deblur", "options": {
+        "model": model, "image": image, "kernel_size": 7, "out_dir": str(out), "stride": 32,
+    }}
     blurred = read_image(image)
     ref = PatchRef(int(row0), int(col0), 32)
     kernel = estimate_kernel(extract(blurred, ref), EstimatorConfig(kernel_size=7)).kernel
@@ -200,14 +216,20 @@ def test_evaluate_outputs(pipeline, tmp_path, capsys):
     assert lines[0] == EVAL_CSV_HEADER
     assert len(lines) == 10
     assert (out / "success_curve.svg").exists()
-    printed = capsys.readouterr().out
-    assert "gt:" in printed
+    assert _run_config(out) == {"command": "evaluate", "options": {
+        "manifest": str(pipeline["corpus"] / "manifest.json"), "model": str(pipeline["model"]),
+        "out_dir": str(out), "patch_size": 32, "stride": 32, "kernel_size": 7,
+        "methods": "gt,center,top", "seed": 0,
+    }}
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["gt", "center", "top"]
 
 
 def test_evaluate_turns_a_failing_image_into_status_rows(pipeline, tmp_path, capsys):
     """A valid 1x1 kernel cannot size the estimator: its images' `center`
     rows become errors while their `gt` rows and every other image are
-    scored. A kernel file that cannot be decoded still exits 3."""
+    scored. A kernel file that cannot be decoded still exits 3 and echoes
+    no run_config.json."""
     kernels = tmp_path / "kernels"
     kernels.mkdir()
     write_kernel(Kernel.delta(1), kernels / "d.txt")
@@ -230,8 +252,10 @@ def test_evaluate_turns_a_failing_image_into_status_rows(pipeline, tmp_path, cap
         assert (row[-1] == "error:ValidationError") == failing
         assert row[-1] != "ok" or math.isfinite(float(row[2]))
     (kernels / "d.txt").write_text("1 1\nx\n")
+    (tmp_path / "eval" / "run_config.json").unlink()
     assert main(argv) == EXIT_FORMAT
     assert "d.txt" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "run_config.json").exists()
 
 
 def test_evaluate_rejects_a_patch_size_its_model_cannot_score(pipeline, tmp_path, capsys):
@@ -251,10 +275,12 @@ def test_evaluate_rejects_a_patch_size_its_model_cannot_score(pipeline, tmp_path
     ("", "no evaluation methods requested"),
     (",", "no evaluation methods requested"),
     ("gt,gt", "must not repeat, got gt,gt"),
-], ids=["empty", "comma", "repeated"])
+    ("top", "method 'top' needs a trained classifier"),
+], ids=["empty", "comma", "repeated", "top-without-model"])
 def test_evaluate_rejects_an_empty_or_repeated_method_list(pipeline, tmp_path, capsys, methods,
                                                            message):
-    """The method list is checked before any image is read, so nothing is written."""
+    """The method list, and `top`'s need for `--model`, are checked before any
+    image is read, so nothing is written, run_config.json included."""
     out = tmp_path / "eval"
     assert main([
         "evaluate", "--manifest", str(pipeline["corpus"] / "manifest.json"), "--out-dir", str(out),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from regiondeblur import evaluation
 from regiondeblur.classifier import build_small_resnet
 from regiondeblur.demodata import eval_scene, random_motion_kernel
 from regiondeblur.errors import DegenerateDenominatorError, DimensionError, ValidationError
-from regiondeblur.estimator import EstimatorConfig
+from regiondeblur.estimator import EstimatorConfig, estimate_kernel
 from regiondeblur.evaluation import (
     EVAL_CSV_HEADER,
+    EVAL_METHODS,
     EvalRecord,
     align_to_reference,
     error_ratio,
@@ -22,8 +24,16 @@ from regiondeblur.evaluation import (
     write_eval_csv,
     write_success_curve_svg,
 )
-from regiondeblur.imagecore import Image, write_image, write_kernel
-from regiondeblur.synthesis import NoiseModel, PatchGridSpec, generate_corpus
+from regiondeblur.imagecore import Image, Kernel, read_image, write_image, write_kernel
+from regiondeblur.selector import score_patches
+from regiondeblur.synthesis import (
+    NoiseModel,
+    PatchGridSpec,
+    PatchRef,
+    derive_seed,
+    generate_corpus,
+    patch_grid,
+)
 
 
 def _img(arr):
@@ -219,25 +229,62 @@ def eval_corpus(tmp_path_factory):
         return generate_corpus(sharp, kernels, NoiseModel(sigma=1.0, seed=3), root / "corpus")
 
 
-def test_evaluate_pipeline_controls_and_failures(eval_corpus):
+def test_evaluate_pipeline_controls_and_failures(eval_corpus, tmp_path):
+    """Each row names the patch its method estimated from: `top` the one the
+    classifier ranks first, `random` the pick seeded by the image index,
+    `center` the centred one; `whole`, `gt` and error rows name none. A 1x1
+    true kernel cannot size the estimator, so that image's estimating methods
+    become error rows while its `gt` control is still scored."""
     grid = PatchGridSpec(patch_size=32, stride=32)
     cfg = EstimatorConfig(kernel_size=7)
     net = build_small_resnet(seed=5, input_side=32)
-    records = evaluate_pipeline(eval_corpus, grid, cfg, net=net,
-                                methods=("gt", "top", "center"), master_seed=9)
-    assert len(records) == 6
-    by_method = {}
-    for r in records:
-        by_method.setdefault(r.method, []).append(r)
-    for r in by_method["gt"]:
-        assert r.error_ratio == 1.0
-        assert r.similarity == 1.0
-        assert r.status == "ok"
-    for r in by_method["top"]:
-        assert r.patch_row is not None and r.patch_col is not None
-        assert r.status in ("ok", "degenerate")
-    for r in by_method["center"]:
-        assert (r.patch_row, r.patch_col) == (16, 16)
+    write_kernel(Kernel.delta(1), tmp_path / "delta.txt")
+    delta = replace(eval_corpus.entries[0], kernel_path=str(tmp_path / "delta.txt"))
+    manifest = replace(eval_corpus, entries=[*eval_corpus.entries, delta])
+    records = evaluate_pipeline(manifest, grid, cfg, net=net, methods=EVAL_METHODS, master_seed=9)
+    assert [r.method for r in records] == list(EVAL_METHODS) * 3
+    for index, entry in enumerate(manifest.entries):
+        blurred = read_image(manifest.resolve(entry.blurred_path))
+        refs = patch_grid(blurred, grid)
+        picks = {
+            "top": score_patches(net, blurred, grid)[0].ref,
+            "random": refs[int(np.random.default_rng(derive_seed(9, index)).integers(len(refs)))],
+            "center": PatchRef(16, 16, 32),
+        }
+        for r in records[5 * index:5 * index + 5]:
+            if r.method == "gt":
+                assert (r.error_ratio, r.similarity, r.status) == (1.0, 1.0, "ok")
+            elif index == 2:
+                assert r.status == "error:ValidationError"
+                assert math.isnan(r.error_ratio) and math.isnan(r.similarity)
+            else:
+                assert r.status in ("ok", "degenerate")
+            pick = None if r.status.startswith("error:") else picks.get(r.method)
+            expected = (None, None) if pick is None else (pick.row0, pick.col0)
+            assert (r.patch_row, r.patch_col) == expected
+
+
+def test_evaluate_pipeline_estimates_a_non_square_kernel_at_its_longer_side(wide_kernel_corpus,
+                                                                           monkeypatch):
+    """An 11 x 15 true kernel is estimated at 15, and every alignment shifts
+    by at most, and drops a border of, 7 px: half that side."""
+    sides, margins = [], []
+
+    def spy_estimate(blurred, cfg):
+        sides.append(cfg.kernel_size)
+        return estimate_kernel(blurred, cfg)
+
+    def spy_align(image, reference, max_shift, margin):
+        margins.append((max_shift, margin))
+        return align_to_reference(image, reference, max_shift, margin)
+
+    monkeypatch.setattr(evaluation, "estimate_kernel", spy_estimate)
+    monkeypatch.setattr(evaluation, "align_to_reference", spy_align)
+    records = evaluate_pipeline(wide_kernel_corpus, PatchGridSpec(patch_size=48, stride=48),
+                                EstimatorConfig(kernel_size=7), methods=("whole", "center", "gt"))
+    assert sides == [15, 15]
+    assert margins == [(7, 7)] * 3
+    assert [r.status for r in records] == ["ok"] * 3
 
 
 def test_evaluate_pipeline_tries_each_baseline_once(eval_corpus, monkeypatch):

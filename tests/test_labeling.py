@@ -3,9 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regiondeblur import labeling
 from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel
 from regiondeblur.errors import ValidationError
-from regiondeblur.estimator import EstimatorConfig
+from regiondeblur.estimator import EstimatorConfig, estimate_kernel
 from regiondeblur.imagecore import write_image, write_kernel
 from regiondeblur.kernelsim import LabelConfig
 from regiondeblur.labeling import (
@@ -66,6 +67,21 @@ def test_build_dataset_labels_every_patch(scene_corpus):
     # Each image is estimated at its true kernel's size (7), not the
     # configured 9, which would need patches of at least 27 px.
     assert build_dataset(scene_corpus, GRID, EstimatorConfig(kernel_size=9), LABELS).samples == ds.samples
+
+
+def test_build_dataset_estimates_a_non_square_kernel_at_its_longer_side(wide_kernel_corpus,
+                                                                       monkeypatch):
+    """An 11 x 15 true kernel is estimated at 15, the one side that holds it."""
+    sides = []
+
+    def spy(blurred, cfg):
+        sides.append(cfg.kernel_size)
+        return estimate_kernel(blurred, cfg)
+
+    monkeypatch.setattr(labeling, "estimate_kernel", spy)
+    ds = build_dataset(wide_kernel_corpus, PatchGridSpec(patch_size=48, stride=48), EST, LABELS)
+    assert sides == [15] * 4
+    assert [s.status for s in ds.samples] == ["ok"] * 4
 
 
 def test_build_dataset_jobs_do_not_change_result(scene_corpus, tmp_path):
