@@ -11,16 +11,25 @@ classical momentum; gradients come from a hand-written reverse pass.
 declares its header descriptor and its output shape, and a `Network` accepts
 no other layer, so nothing downsamples by windowed pooling.
 
-Inference (a forward pass without a tape) standardizes the patches and runs
-the layers up to the global pooling on tiles of about 2**16 input pixels, so
-its memory is bounded per tile rather than growing with the batch; training
-keeps whole-batch passes. Scoring (`Network.forward_batch`) only has to rank
-patches, so it runs that trunk in float32: each tile is standardized in
-float64 and then cast, each convolution casts the current weights to its
-input's dtype, and the pooled features return to float64 for the head.
-`Network.logits`, training and the stored model stay in float64.
-Convolutions read their im2col columns straight from the unpadded input. The
-first pass of any network sets glibc's malloc to keep freed memory, so later
+Every pass, taped or not, standardizes the patches and runs the layers up
+to the global pooling (the trunk) on tiles of about 2**16 input pixels, and
+the dense head once, in the calling thread, on the stacked pooled features.
+The tiles run on a thread pool that lives for one pass, with one thread per
+tile and at most one per usable CPU (inline on one CPU); numpy releases the
+GIL in its loops and matrix products, so a batch-32 training step of 64 px
+patches runs its two tiles on two cores. A taped pass keeps one tape per
+tile; the backward pass replays each on the same kind of pool, into the
+tile's own parameter-gradient buffers, and adds those to the layers' in tile
+order. Tile boundaries come from the pixel budget alone, so logits,
+gradients and the stored model are the same bytes on any number of CPUs,
+and an untaped pass's memory is bounded per tile, not per batch. Scoring
+(`Network.forward_batch`) only has to rank patches, so it runs the trunk in
+float32: each tile is standardized in float64 and then cast, each
+convolution casts the current weights to its input's dtype, and the pooled
+features return to float64 for the head. `Network.logits`, training and the
+stored model stay in float64. Convolutions read their im2col columns
+straight from the unpadded input. The first pass of any network sets glibc's
+malloc to keep freed memory in one arena shared by every thread, so later
 passes reuse it instead of faulting it in.
 
 Models serialize to a self-describing container: magic bytes, a format
@@ -36,7 +45,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,13 +62,14 @@ MODEL_VERSION = 1
 _HEADER_TYPES = {"input_side": (int,), "standardize": (bool,), "layers": (list,),
                  "param_count": (int,), "sha256": (str,)}
 _LOGIT_CAP = 35.0
-# Input pixels per tile of an untaped forward pass: one 228 px patch, or
-# sixteen 64 px patches.
+# Input pixels per tile of the trunk: one 228 px patch, or sixteen 64 px
+# patches.
 _TILE_PIXELS = 1 << 16
 _STANDARDIZE_EPS = 1e-8
 # glibc `mallopt` parameters, from <malloc.h>.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 @functools.cache
@@ -65,9 +77,12 @@ def _keep_freed_memory() -> None:
     """Let the process keep the heap memory a CNN pass frees, so the next
     pass reuses it instead of faulting fresh pages in: glibc stops trimming
     the heap top below 512 MiB and stops mmapping blocks below 32 MiB (the
-    largest fixed threshold it accepts). Runs once, on the first pass, so
-    commands that never run the CNN keep the default allocator; does nothing
-    where the C library has no ``mallopt``."""
+    largest fixed threshold it accepts). It also keeps one malloc arena, so
+    the tile threads reuse the same freed memory rather than each growing a
+    heap of its own, which cost a training run ~8% more peak RSS. Runs
+    once, on the first pass and before any tile thread starts, so commands
+    that never run the CNN keep the default allocator; does nothing where
+    the C library has no ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -76,6 +91,26 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def _tile_workers(tiles: int) -> int:
+    """Threads for a pass over `tiles` tiles: at most one per tile and one per
+    CPU this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(tiles, cpus or 1)
+
+
+def _map_tiles(fn, tiles: list) -> list:
+    """`[fn(t) for t in tiles]` over the tiles of one pass, on a thread pool
+    whose threads are joined before this returns, so none outlives the pass
+    (and a later fork copies none); inline when there is one worker.
+    Results keep tile order."""
+    workers = _tile_workers(len(tiles))
+    if workers <= 1:
+        return [fn(t) for t in tiles]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, tiles))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -141,7 +176,9 @@ class _Layer:
     """One CNN layer type: ``kind`` names it in the model header and ``fields``
     lists its constructor arguments in constructor order. ``backward`` always
     accumulates parameter gradients and returns the input gradient, or None
-    when called with ``input_grad=False``."""
+    when called with ``input_grad=False``. Its gradients go to the layer's
+    own ``grad_weight``/``grad_bias`` unless ``grads`` maps each weighted
+    layer to a ``(grad_weight, grad_bias)`` pair of buffers to use instead."""
 
     kind: str
     fields: tuple[str, ...] = ()
@@ -157,11 +194,15 @@ class _Layer:
     def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
         return shape
 
-    def parameters(self) -> list[np.ndarray]:
+    def weighted(self) -> list[_WeightBias]:
+        """The weight/bias pairs this layer holds, in parameter order."""
         return []
 
+    def parameters(self) -> list[np.ndarray]:
+        return [p for wb in self.weighted() for p in (wb.weight, wb.bias)]
+
     def gradients(self) -> list[np.ndarray]:
-        return []
+        return [g for wb in self.weighted() for g in (wb.grad_weight, wb.grad_bias)]
 
 
 class _WeightBias(_Layer):
@@ -174,11 +215,13 @@ class _WeightBias(_Layer):
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
 
-    def parameters(self) -> list[np.ndarray]:
-        return [self.weight, self.bias]
+    def weighted(self) -> list[_WeightBias]:
+        return [self]
 
-    def gradients(self) -> list[np.ndarray]:
-        return [self.grad_weight, self.grad_bias]
+    def _accumulate(self, grads: dict | None, d_weight: np.ndarray, d_bias: np.ndarray) -> None:
+        grad_weight, grad_bias = (self.grad_weight, self.grad_bias) if grads is None else grads[self]
+        grad_weight += d_weight
+        grad_bias += d_bias
 
 
 class Conv2d(_WeightBias):
@@ -238,13 +281,15 @@ class Conv2d(_WeightBias):
             tape.append((self, (x.shape, cols, oh, ow)))
         return out
 
-    def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray, saved, input_grad: bool = True,
+                 grads: dict | None = None) -> np.ndarray | None:
         shape, cols, oh, ow = saved
         n = dout.shape[0]
         dout2 = dout.reshape(n, self.out_channels, oh * ow)
         w2 = self.weight.reshape(self.out_channels, -1)
-        self.grad_weight += np.matmul(dout2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weight.shape)
-        self.grad_bias += dout2.sum(axis=(0, 2))
+        self._accumulate(grads,
+                         np.matmul(dout2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weight.shape),
+                         dout2.sum(axis=(0, 2)))
         if not input_grad:
             return None
         dcols = np.matmul(w2.T, dout2)
@@ -260,7 +305,8 @@ class ReLU(_Layer):
             tape.append((self, x > 0))
         return out
 
-    def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray, saved, input_grad: bool = True,
+                 grads: dict | None = None) -> np.ndarray | None:
         return dout * saved if input_grad else None
 
 
@@ -313,23 +359,18 @@ class ResidualBlock(_Layer):
             tape.append((self, (inner, a > 0, s > 0)))
         return out
 
-    def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray, saved, input_grad: bool = True,
+                 grads: dict | None = None) -> np.ndarray | None:
         inner, mask_a, mask_s = saved
         ds = dout * mask_s
-        dr = self.conv2.backward(ds, inner[1][1])
+        dr = self.conv2.backward(ds, inner[1][1], True, grads)
         da = dr * mask_a
-        dx = self.conv1.backward(da, inner[0][1], input_grad)
-        shortcut = ds if self.projection is None else self.projection.backward(ds, inner[2][1], input_grad)
+        dx = self.conv1.backward(da, inner[0][1], input_grad, grads)
+        shortcut = ds if self.projection is None else self.projection.backward(ds, inner[2][1], input_grad, grads)
         return dx + shortcut if input_grad else None
 
-    def _convs(self) -> list[Conv2d]:
+    def weighted(self) -> list[_WeightBias]:
         return [c for c in (self.conv1, self.conv2, self.projection) if c is not None]
-
-    def parameters(self) -> list[np.ndarray]:
-        return [p for conv in self._convs() for p in conv.parameters()]
-
-    def gradients(self) -> list[np.ndarray]:
-        return [g for conv in self._convs() for g in conv.gradients()]
 
 
 class GlobalAveragePool(_Layer):
@@ -346,7 +387,8 @@ class GlobalAveragePool(_Layer):
             tape.append((self, x.shape))
         return out
 
-    def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray, saved, input_grad: bool = True,
+                 grads: dict | None = None) -> np.ndarray | None:
         n, c, h, w = saved
         return np.broadcast_to(dout[:, :, None, None], (n, c, h, w)) / (h * w) if input_grad else None
 
@@ -383,9 +425,9 @@ class Dense(_WeightBias):
             tape.append((self, x))
         return out
 
-    def backward(self, dout: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
-        self.grad_weight += saved.T @ dout
-        self.grad_bias += dout.sum(axis=0)
+    def backward(self, dout: np.ndarray, saved, input_grad: bool = True,
+                 grads: dict | None = None) -> np.ndarray | None:
+        self._accumulate(grads, saved.T @ dout, dout.sum(axis=0))
         return dout @ self.weight.T if input_grad else None
 
 
@@ -447,10 +489,11 @@ class Network:
 
     def logits(self, batch, tape: list | None = None) -> np.ndarray:
         """One float64 logit per patch of `batch`, an (N, side, side) array or a
-        sequence of (side, side) patches. Without a tape a tile of about
-        `_TILE_PIXELS` input pixels is the only copy of the input; with one the
-        whole batch is a single tile, so the tape records each layer once.
-        Every logit is bit-identical either way."""
+        sequence of (side, side) patches. A tile of about `_TILE_PIXELS` input
+        pixels is the only copy of the input. A tape gets one `_TileTapes`
+        entry for the trunk, whose saved state is each tile's tape, and then
+        the head's entries. Every logit is bit-identical to a whole-batch
+        pass, with or without a tape."""
         return self._logits(batch, tape, np.float64)
 
     def _logits(self, batch, tape: list | None, dtype) -> np.ndarray:
@@ -458,35 +501,74 @@ class Network:
         standardized in float64 on its own, and the head in float64 on the
         stacked pooled features."""
         _keep_freed_memory()
-        tile = max(1, _TILE_PIXELS // self.input_side ** 2 if tape is None else len(batch))
-        pooled = []
-        for start in range(0, max(len(batch), 1), tile):  # an empty batch is one empty tile
+        tile = max(1, _TILE_PIXELS // self.input_side ** 2)
+        # An empty batch is one empty tile.
+        tiles = [(start, None if tape is None else []) for start in range(0, max(len(batch), 1), tile)]
+
+        def trunk(args) -> np.ndarray:
+            start, tile_tape = args
             y = self._prepare(batch[start:start + tile])
             if self.standardize:  # per sample, so a tile gets the whole batch's bits
                 mean = y.mean(axis=(2, 3), keepdims=True)
                 y = (y - mean) / (y.std(axis=(2, 3), keepdims=True) + _STANDARDIZE_EPS)
             y = y.astype(dtype, copy=False)
             for layer in self.layers[:self._trunk_end]:
-                y = layer.forward(y, tape)
-            pooled.append(y)
-        x = np.concatenate(pooled).astype(np.float64, copy=False)
+                y = layer.forward(y, tile_tape)
+            return y
+
+        x = np.concatenate(_map_tiles(trunk, tiles)).astype(np.float64, copy=False)
+        if tape is not None:
+            tape.append((_TileTapes(self.layers[:self._trunk_end], tile), [t for _, t in tiles]))
         for layer in self.layers[self._trunk_end:]:
             x = layer.forward(x, tape)
         return x.reshape(-1)
 
     def backward(self, tape: list, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients; the network's input gradient is
-        never used, so the first layer skips it."""
-        d = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)
-        for index in range(len(tape) - 1, -1, -1):
-            layer, saved = tape[index]
-            d = layer.backward(d, saved, input_grad=index > 0)
+        never used, so the first entry skips it."""
+        _replay(tape, np.asarray(dlogits, dtype=np.float64).reshape(-1, 1), False)
 
     def forward_batch(self, batch) -> np.ndarray:
         """Probability per patch, for ranking: the trunk runs in float32 on
         weights cast afresh each call, so an in-place edit always shows."""
         z = np.clip(self._logits(batch, None, np.float32), -_LOGIT_CAP, _LOGIT_CAP)
         return _sigmoid(z)
+
+
+def _replay(tape: list, d: np.ndarray, input_grad: bool, grads: dict | None = None) -> np.ndarray | None:
+    """Run `tape` backward from the output gradient `d`; only its first entry
+    may skip its input gradient."""
+    for index in range(len(tape) - 1, -1, -1):
+        layer, saved = tape[index]
+        d = layer.backward(d, saved, input_grad or index > 0, grads)
+    return d
+
+
+class _TileTapes:
+    """The trunk's entry in a tape: its saved state is one tape per tile of
+    `tile` samples. `backward` replays each tile's tape on a pass-local
+    thread pool into the tile's own gradient buffers, then adds those to
+    the layers' gradients (or to ``grads``) in tile order."""
+
+    def __init__(self, layers: list[_Layer], tile: int):
+        self.layers = layers
+        self.tile = tile
+
+    def backward(self, dout: np.ndarray, tapes: list[list], input_grad: bool = True,
+                 grads: dict | None = None) -> np.ndarray | None:
+        weighted = [wb for layer in self.layers for wb in layer.weighted()]
+
+        def tile_backward(args):
+            d, tile_tape = args
+            tile_grads = {wb: (np.zeros_like(wb.weight), np.zeros_like(wb.bias)) for wb in weighted}
+            return _replay(tile_tape, d, input_grad, tile_grads), tile_grads
+
+        douts = np.split(dout, range(self.tile, len(dout), self.tile))
+        results = _map_tiles(tile_backward, list(zip(douts, tapes)))
+        for _, tile_grads in results:
+            for wb, (d_weight, d_bias) in tile_grads.items():
+                wb._accumulate(grads, d_weight, d_bias)
+        return np.concatenate([d for d, _ in results]) if input_grad else None
 
 
 def build_small_resnet(seed: int = 0, input_side: int = 228, *, standardize: bool = True) -> Network:
@@ -567,8 +649,8 @@ class TrainConfig:
     input_side: int = 228
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if self.batch_size < 1:

@@ -1,12 +1,14 @@
 import math
 import platform
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from regiondeblur import classifier
 from regiondeblur.classifier import (
     Conv2d,
     Dense,
@@ -26,6 +28,7 @@ from regiondeblur.classifier import (
     _Layer,
     _LAYER_TYPES,
     _LOGIT_CAP,
+    _STANDARDIZE_EPS,
     _im2col,
     _layer_args,
     _sigmoid,
@@ -33,6 +36,7 @@ from regiondeblur.classifier import (
 from regiondeblur.demodata import eval_scene
 from regiondeblur.errors import DimensionError, ModelFormatError, ValidationError
 from regiondeblur.imagecore import Image
+from regiondeblur.synthesis import map_jobs
 
 
 def toy_net(seed=0, side=8, standardize=False):
@@ -263,6 +267,111 @@ def test_training_step_reuses_freed_memory():
 
 
 # ---------------------------------------------------------------------------
+# tiles on threads
+
+
+def _force_tile_workers(monkeypatch, workers):
+    monkeypatch.setattr(classifier, "_tile_workers", lambda tiles: min(tiles, workers))
+
+
+def _whole_batch_step(net, x, y):
+    """Logits, loss and parameter gradients of one step as a whole-batch
+    taped pass computes them: every layer runs once on the whole batch and
+    accumulates straight into its own gradients."""
+    z = x.reshape(len(x), 1, net.input_side, net.input_side)
+    z = (z - z.mean(axis=(2, 3), keepdims=True)) / (z.std(axis=(2, 3), keepdims=True) + _STANDARDIZE_EPS)
+    tape = []
+    for layer in net.layers:
+        z = layer.forward(z, tape)
+    z = z.reshape(-1)
+    loss, dz = bce_with_logits(z, y)
+    net.zero_gradients()
+    d = dz.reshape(-1, 1)
+    for index in range(len(tape) - 1, -1, -1):
+        layer, saved = tape[index]
+        d = layer.backward(d, saved, input_grad=index > 0)
+    return z, loss, [g.copy() for g in net.gradients()]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tiled_training_step_matches_the_whole_batch_step(monkeypatch, workers):
+    # 37 patches of 64 px: two full 16-patch tiles and a partial one of 5.
+    _force_tile_workers(monkeypatch, workers)
+    net = build_small_resnet(seed=3, input_side=64)
+    x = _scene_patches(37, 64, seed=12)
+    y = (np.arange(37) % 3 == 0).astype(np.float64)
+    want_z, want_loss, want_grads = _whole_batch_step(net, x, y)
+    tape = []
+    z = net.logits(x, tape)
+    loss, dz = bce_with_logits(z, y)
+    net.zero_gradients()
+    net.backward(tape, dz)
+    assert np.array_equal(z, want_z) and loss == want_loss
+    for got, want in zip(net.gradients(), want_grads):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_training_gives_the_same_bytes_on_any_thread_count(monkeypatch, tmp_path):
+    """One, two and three threads (batch 48 makes three tiles), switching
+    every 10 us: a gradient update lost or folded out of order would change
+    the bytes."""
+    patches = _scene_patches(96, 64, seed=13)
+    samples = [TrainingSample(patch=Image(p), label=int(i % 3 == 0)) for i, p in enumerate(patches)]
+    held_out = _scene_patches(20, 64, seed=14)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=48, epochs=2, seed=15, input_side=64)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            _force_tile_workers(monkeypatch, workers)
+            net = build_small_resnet(seed=16, input_side=64)
+            train(net, samples, cfg)
+            save_model(net, tmp_path / f"{workers}.bin")
+            runs.append((net.parameters(), (tmp_path / f"{workers}.bin").read_bytes(),
+                         net.forward_batch(held_out)))
+    finally:
+        sys.setswitchinterval(interval)
+    params_1, model_1, probs_1 = runs[0]
+    for params, model, probs in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(params_1, params))
+        assert model == model_1
+        assert np.array_equal(probs, probs_1)
+
+
+def test_no_tile_thread_outlives_its_pass(monkeypatch):
+    _force_tile_workers(monkeypatch, 2)
+    net = build_small_resnet(seed=4, input_side=64)
+    x = _scene_patches(37, 64, seed=15)
+    ran_on = set()
+    stem_forward = net.layers[0].forward
+
+    def forward(*args):
+        ran_on.add(threading.get_ident())
+        return stem_forward(*args)
+
+    net.layers[0].forward = forward
+    before = threading.active_count()
+    tape = []
+    z = net.logits(x, tape)
+    assert threading.active_count() == before
+    net.backward(tape, bce_with_logits(z, np.arange(37) % 2)[1])
+    assert threading.active_count() == before
+    net.forward_batch(x)
+    assert threading.active_count() == before
+    assert ran_on and threading.get_ident() not in ran_on
+
+
+def test_worker_processes_start_after_a_threaded_training_pass(monkeypatch):
+    _force_tile_workers(monkeypatch, 2)
+    patches = _scene_patches(32, 64, seed=16)
+    samples = [TrainingSample(patch=Image(p), label=i % 2) for i, p in enumerate(patches)]
+    train(build_small_resnet(seed=5, input_side=64), samples,
+          TrainConfig(batch_size=32, epochs=1, input_side=64))
+    assert map_jobs(abs, [-1, -2, 3], jobs=2) == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
 # loss
 
 
@@ -487,6 +596,9 @@ def test_saturated_correct_predictions_are_stationary():
 def test_train_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(learning_rate=-0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=bad)
     with pytest.raises(ValidationError):
         TrainConfig(momentum=1.0)
     with pytest.raises(ValidationError):
