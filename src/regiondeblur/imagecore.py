@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
 from .errors import DimensionError, ParseError, ValidationError
 
@@ -123,17 +122,60 @@ def _check_kernel_fits(img: Image, k: Kernel) -> None:
 
 
 def convolve_direct(img: Image, k: Kernel, mode: BoundaryMode = BoundaryMode.REPLICATE) -> Image:
-    """True convolution (kernel flipped) by direct summation on a padded image."""
+    """True convolution (kernel flipped) by direct summation on a padded image.
+
+    Each tap adds its weighted shifted image, kernel rows outer and columns
+    inner. That is `scipy.signal.convolve2d(padded, w, "valid")` to the bit
+    for 3x3 and for one row or column of up to 7 taps or one column of 9;
+    for a 1x9 row or a square of 5 or more scipy sums in another order, and
+    the last bits differ."""
     _check_kernel_fits(img, k)
-    padded = _pad_extend(img.pixels, k.side_h // 2, k.side_w // 2, mode)
-    return Image(signal.convolve2d(padded, k.weights, mode="valid"))
+    kh, kw = k.weights.shape
+    padded = _pad_extend(img.pixels, kh // 2, kw // 2, mode)
+    h, w = img.shape
+    out = np.zeros((h, w))
+    for i in range(kh):
+        for j in range(kw):
+            out += k.weights[i, j] * padded[kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w]
+    return Image(out)
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth length >= n: `scipy.fft.next_fast_len(n, real=True)`."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def convolve_fft(img: Image, k: Kernel, mode: BoundaryMode = BoundaryMode.REPLICATE) -> Image:
-    """Same operation as convolve_direct, evaluated through FFTs."""
+    """Same operation as convolve_direct, evaluated through FFTs.
+
+    Repeats `scipy.signal.fftconvolve(padded, w, "valid")` step for step, so
+    the bits are its own: an axis where the kernel is one tap wide is not
+    transformed, every other axis is zero-padded to its 5-smooth fast length,
+    the inverse is left unnormalized and scaled once by the product of those
+    lengths."""
     _check_kernel_fits(img, k)
-    padded = _pad_extend(img.pixels, k.side_h // 2, k.side_w // 2, mode)
-    return Image(signal.fftconvolve(padded, k.weights, mode="valid"))
+    kh, kw = k.weights.shape
+    padded = _pad_extend(img.pixels, kh // 2, kw // 2, mode)
+    axes = tuple(a for a in (0, 1) if k.weights.shape[a] > 1)
+    if not axes:
+        return Image(padded * k.weights)
+    fshape = [_fast_len(padded.shape[a] + k.weights.shape[a] - 1) for a in axes]
+    spectrum = (np.fft.rfftn(padded, fshape, axes=axes)
+                * np.fft.rfftn(k.weights, fshape, axes=axes))
+    if len(axes) == 2:
+        spectrum = np.fft.ifft(spectrum, axis=0, norm="forward")
+    full = np.fft.irfft(spectrum, n=fshape[-1], axis=axes[-1], norm="forward")
+    full *= 1.0 / math.prod(fshape)
+    h, w = img.shape
+    return Image(full[kh - 1:kh - 1 + h, kw - 1:kw - 1 + w])
 
 
 # ---------------------------------------------------------------------------

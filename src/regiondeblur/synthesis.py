@@ -179,8 +179,10 @@ class CorpusManifest:
 
 def blur_image(sharp: Image, k: Kernel, noise: NoiseModel) -> Image:
     """Replicate-pad blur plus clamped Gaussian noise, seeded and deterministic.
-    The blur goes through the FFT, within ~1e-15 of `convolve_direct`; up to
-    3x3 taps direct summation is cheaper and keeps a delta kernel exact."""
+    The blur goes through the FFT, within ~1e-15 of `convolve_direct`; a
+    kernel of at most 9 taps (3x3, or one row or column of up to 9) goes
+    through direct summation, which is cheaper there and keeps a delta
+    kernel exact."""
     convolve = convolve_direct if k.side_h * k.side_w <= 9 else convolve_fft
     conv = convolve(sharp, k, BoundaryMode.REPLICATE)
     rng = np.random.default_rng(noise.seed)

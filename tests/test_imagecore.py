@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import signal
 
+from regiondeblur.demodata import _BLUR3
 from regiondeblur.errors import DimensionError, ParseError, ValidationError
 from regiondeblur.imagecore import (
     BoundaryMode,
     Image,
     Kernel,
+    _fast_len,
+    _pad_extend,
     _periodic_taper,
     _taper_ramp,
     convolve_direct,
@@ -128,6 +133,70 @@ def test_convolve_fft_matches_direct(mode):
         d = convolve_direct(img, k, mode).pixels
         f = convolve_fft(img, k, mode).pixels
         assert np.max(np.abs(d - f)) < 1e-8
+
+
+# `scipy.signal` is the oracle here only: the package itself never imports it.
+DIRECT_EXACT_SHAPES = [(1, 1), (1, 3), (3, 1), (3, 3), (1, 5), (5, 1), (1, 7), (7, 1), (9, 1)]
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+@pytest.mark.parametrize("shape", DIRECT_EXACT_SHAPES)
+def test_convolve_direct_is_convolve2d_bit_for_bit(mode, shape):
+    rng = np.random.default_rng([47, *shape])
+    for trial in range(40):
+        img = Image(rng.uniform(0, 1, (int(rng.integers(9, 70)), int(rng.integers(9, 70)))))
+        raw = rng.uniform(0, 1, shape)
+        k = Kernel(raw / raw.sum())
+        padded = _pad_extend(img.pixels, shape[0] // 2, shape[1] // 2, mode)
+        want = signal.convolve2d(padded, k.weights, mode="valid")
+        assert np.array_equal(convolve_direct(img, k, mode).pixels, want)
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+@pytest.mark.parametrize("side", [160, 384])
+def test_convolve_direct_keeps_the_demo_blur_bits(mode, side):
+    img = Image(np.random.default_rng(side).uniform(0, 1, (side, side)))
+    padded = _pad_extend(img.pixels, 1, 1, mode)
+    want = signal.convolve2d(padded, _BLUR3.weights, mode="valid")
+    assert np.array_equal(convolve_direct(img, _BLUR3, mode).pixels, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (5, 5), (7, 7)])
+def test_convolve_direct_is_within_a_few_ulps_of_convolve2d_elsewhere(shape):
+    """convolve2d sums these taps in another order, so their last bits move."""
+    rng = np.random.default_rng([48, *shape])
+    for trial in range(10):
+        img = Image(rng.uniform(0, 1, (40, 53)))
+        raw = rng.uniform(0, 1, shape)
+        k = Kernel(raw / raw.sum())
+        padded = _pad_extend(img.pixels, shape[0] // 2, shape[1] // 2, BoundaryMode.REPLICATE)
+        want = signal.convolve2d(padded, k.weights, mode="valid")
+        assert np.max(np.abs(convolve_direct(img, k).pixels - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+def test_convolve_fft_is_fftconvolve_bit_for_bit(mode):
+    """Kernels of 5-27 px, as blur_image sends here, plus kernels one tap
+    wide, whose axis fftconvolve does not transform."""
+    rng = np.random.default_rng(49)
+    sides = [5, 7, 11, 15, 21, 27]
+    shapes = [(5, 5), (5, 27), (27, 5), (27, 27), (1, 1), (1, 11), (15, 1)]
+    shapes += [(int(rng.choice(sides)), int(rng.choice(sides))) for _ in range(33)]
+    for trial, (kh, kw) in enumerate(shapes):
+        square = trial % 4 == 0
+        h = int(rng.integers(max(kh, kw if square else 1, 16), 421))
+        w = h if square else int(rng.integers(max(kw, 16), 421))
+        img = Image(rng.uniform(0, 1, (h, w)))
+        raw = rng.uniform(0, 1, (kh, kw))
+        k = Kernel(raw / raw.sum())
+        padded = _pad_extend(img.pixels, kh // 2, kw // 2, mode)
+        want = signal.fftconvolve(padded, k.weights, mode="valid")
+        assert np.array_equal(convolve_fft(img, k, mode).pixels, want), (h, w, kh, kw)
+
+
+def test_fast_len_is_scipy_next_fast_len():
+    got = [_fast_len(n) for n in range(1, 5000)]
+    assert got == [scipy.fft.next_fast_len(n, True) for n in range(1, 5000)]
 
 
 def test_convolve_delta_is_identity():
