@@ -49,8 +49,7 @@ def main() -> None:
     run(["evaluate",
          "--manifest", str(ws / "corpus" / "manifest.json"),
          "--model", str(ws / "model" / "model.bin"), "--out-dir", str(ws / "eval"),
-         "--patch-size", str(args.patch_size), "--stride", str(args.stride),
-         "--kernel-size", str(args.kernel_size)])
+         "--patch-size", str(args.patch_size), "--stride", str(args.stride)])
     print(f"done; see {ws / 'eval' / 'results.csv'} and {ws / 'eval' / 'success_curve.svg'}")
 
 

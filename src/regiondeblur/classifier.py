@@ -18,11 +18,12 @@ The tiles run on a thread pool that lives for one pass, with one thread per
 tile and at most one per usable CPU (inline on one CPU); numpy releases the
 GIL in its loops and matrix products, so a batch-32 training step of 64 px
 patches runs its two tiles on two cores. A taped pass keeps one tape per
-tile; the backward pass replays each on the same kind of pool, into the
-tile's own parameter-gradient buffers, and adds those to the layers' in tile
-order. Tile boundaries come from the pixel budget alone, so logits,
-gradients and the stored model are the same bytes on any number of CPUs,
-and an untaped pass's memory is bounded per tile, not per batch. Scoring
+tile; the backward pass replays each on the same kind of pool into a
+gradient dict of the tile's own, then adds the tiles' dicts in tile order
+into the one whose arrays it returns, so layers hold no gradients. Tile
+boundaries come from the pixel budget alone, so logits, gradients and the
+stored model are the same bytes on any number of CPUs, and an untaped
+pass's memory is bounded per tile, not per batch. Scoring
 (`Network.forward_batch`) only has to rank patches, so it runs the trunk in
 float32: each tile is standardized in float64 and then cast, each
 convolution casts the current weights to its input's dtype, and the pooled
@@ -174,11 +175,11 @@ def _col2im(dcols: np.ndarray, shape, k: int, stride: int, pad: int, oh: int, ow
 
 class _Layer:
     """One CNN layer type: ``kind`` names it in the model header and ``fields``
-    lists its constructor arguments in constructor order. ``backward`` always
-    accumulates parameter gradients and returns the input gradient, or None
-    when called with ``input_grad=False``. Its gradients go to the layer's
-    own ``grad_weight``/``grad_bias`` unless ``grads`` maps each weighted
-    layer to a ``(grad_weight, grad_bias)`` pair of buffers to use instead."""
+    lists its constructor arguments in constructor order. ``backward(dout,
+    saved, grads, input_grad=True)`` always adds its parameter gradients to
+    ``grads``, which maps each weighted layer to its ``(d_weight, d_bias)``
+    pair, and returns the input gradient, or None when called with
+    ``input_grad=False``."""
 
     kind: str
     fields: tuple[str, ...] = ()
@@ -201,9 +202,6 @@ class _Layer:
     def parameters(self) -> list[np.ndarray]:
         return [p for wb in self.weighted() for p in (wb.weight, wb.bias)]
 
-    def gradients(self) -> list[np.ndarray]:
-        return [g for wb in self.weighted() for g in (wb.grad_weight, wb.grad_bias)]
-
 
 class _WeightBias(_Layer):
     """A layer whose parameters are one weight array and one bias vector."""
@@ -212,16 +210,16 @@ class _WeightBias(_Layer):
                          rng: np.random.Generator | None) -> None:
         self.weight = np.zeros(shape) if rng is None else rng.normal(0.0, scale, shape)
         self.bias = np.zeros(n_out)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
 
     def weighted(self) -> list[_WeightBias]:
         return [self]
 
-    def _accumulate(self, grads: dict | None, d_weight: np.ndarray, d_bias: np.ndarray) -> None:
-        grad_weight, grad_bias = (self.grad_weight, self.grad_bias) if grads is None else grads[self]
-        grad_weight += d_weight
-        grad_bias += d_bias
+    def _accumulate(self, grads: dict, d_weight: np.ndarray, d_bias: np.ndarray) -> None:
+        """Add to this layer's pair in ``grads``, a zero pair on first use."""
+        if self not in grads:
+            grads[self] = (np.zeros_like(self.weight), np.zeros_like(self.bias))
+        for total, d in zip(grads[self], (d_weight, d_bias)):
+            total += d
 
 
 class Conv2d(_WeightBias):
@@ -281,8 +279,8 @@ class Conv2d(_WeightBias):
             tape.append((self, (x.shape, cols, oh, ow)))
         return out
 
-    def backward(self, dout: np.ndarray, saved, input_grad: bool = True,
-                 grads: dict | None = None) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray, saved, grads: dict,
+                 input_grad: bool = True) -> np.ndarray | None:
         shape, cols, oh, ow = saved
         n = dout.shape[0]
         dout2 = dout.reshape(n, self.out_channels, oh * ow)
@@ -305,8 +303,8 @@ class ReLU(_Layer):
             tape.append((self, x > 0))
         return out
 
-    def backward(self, dout: np.ndarray, saved, input_grad: bool = True,
-                 grads: dict | None = None) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray, saved, grads: dict,
+                 input_grad: bool = True) -> np.ndarray | None:
         return dout * saved if input_grad else None
 
 
@@ -359,14 +357,14 @@ class ResidualBlock(_Layer):
             tape.append((self, (inner, a > 0, s > 0)))
         return out
 
-    def backward(self, dout: np.ndarray, saved, input_grad: bool = True,
-                 grads: dict | None = None) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray, saved, grads: dict,
+                 input_grad: bool = True) -> np.ndarray | None:
         inner, mask_a, mask_s = saved
         ds = dout * mask_s
-        dr = self.conv2.backward(ds, inner[1][1], True, grads)
+        dr = self.conv2.backward(ds, inner[1][1], grads)
         da = dr * mask_a
-        dx = self.conv1.backward(da, inner[0][1], input_grad, grads)
-        shortcut = ds if self.projection is None else self.projection.backward(ds, inner[2][1], input_grad, grads)
+        dx = self.conv1.backward(da, inner[0][1], grads, input_grad)
+        shortcut = ds if self.projection is None else self.projection.backward(ds, inner[2][1], grads, input_grad)
         return dx + shortcut if input_grad else None
 
     def weighted(self) -> list[_WeightBias]:
@@ -387,8 +385,8 @@ class GlobalAveragePool(_Layer):
             tape.append((self, x.shape))
         return out
 
-    def backward(self, dout: np.ndarray, saved, input_grad: bool = True,
-                 grads: dict | None = None) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray, saved, grads: dict,
+                 input_grad: bool = True) -> np.ndarray | None:
         n, c, h, w = saved
         return np.broadcast_to(dout[:, :, None, None], (n, c, h, w)) / (h * w) if input_grad else None
 
@@ -425,8 +423,8 @@ class Dense(_WeightBias):
             tape.append((self, x))
         return out
 
-    def backward(self, dout: np.ndarray, saved, input_grad: bool = True,
-                 grads: dict | None = None) -> np.ndarray | None:
+    def backward(self, dout: np.ndarray, saved, grads: dict,
+                 input_grad: bool = True) -> np.ndarray | None:
         self._accumulate(grads, saved.T @ dout, dout.sum(axis=0))
         return dout @ self.weight.T if input_grad else None
 
@@ -464,13 +462,6 @@ class Network:
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.parameters()]
-
-    def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.gradients()]
-
-    def zero_gradients(self) -> None:
-        for g in self.gradients():
-            g[...] = 0.0
 
     def descriptors(self) -> list[dict]:
         return [layer.descriptor() for layer in self.layers]
@@ -518,15 +509,18 @@ class Network:
 
         x = np.concatenate(_map_tiles(trunk, tiles)).astype(np.float64, copy=False)
         if tape is not None:
-            tape.append((_TileTapes(self.layers[:self._trunk_end], tile), [t for _, t in tiles]))
+            tape.append((_TileTapes(tile), [t for _, t in tiles]))
         for layer in self.layers[self._trunk_end:]:
             x = layer.forward(x, tape)
         return x.reshape(-1)
 
-    def backward(self, tape: list, dlogits: np.ndarray) -> None:
-        """Accumulate parameter gradients; the network's input gradient is
-        never used, so the first entry skips it."""
-        _replay(tape, np.asarray(dlogits, dtype=np.float64).reshape(-1, 1), False)
+    def backward(self, tape: list, dlogits: np.ndarray) -> list[np.ndarray]:
+        """Fresh parameter gradients of the pass on `tape`, in `parameters()`
+        order; the network's input gradient is never used, so the first entry
+        skips it."""
+        grads: dict = {}
+        _replay(tape, np.asarray(dlogits, dtype=np.float64).reshape(-1, 1), False, grads)
+        return [g for layer in self.layers for wb in layer.weighted() for g in grads[wb]]
 
     def forward_batch(self, batch) -> np.ndarray:
         """Probability per patch, for ranking: the trunk runs in float32 on
@@ -535,32 +529,29 @@ class Network:
         return _sigmoid(z)
 
 
-def _replay(tape: list, d: np.ndarray, input_grad: bool, grads: dict | None = None) -> np.ndarray | None:
-    """Run `tape` backward from the output gradient `d`; only its first entry
-    may skip its input gradient."""
+def _replay(tape: list, d: np.ndarray, input_grad: bool, grads: dict) -> np.ndarray | None:
+    """Run `tape` backward from the output gradient `d`, adding parameter
+    gradients to `grads`; only its first entry may skip its input gradient."""
     for index in range(len(tape) - 1, -1, -1):
         layer, saved = tape[index]
-        d = layer.backward(d, saved, input_grad or index > 0, grads)
+        d = layer.backward(d, saved, grads, input_grad or index > 0)
     return d
 
 
 class _TileTapes:
     """The trunk's entry in a tape: its saved state is one tape per tile of
     `tile` samples. `backward` replays each tile's tape on a pass-local
-    thread pool into the tile's own gradient buffers, then adds those to
-    the layers' gradients (or to ``grads``) in tile order."""
+    thread pool into a gradient dict of the tile's own, then adds those to
+    ``grads`` in tile order."""
 
-    def __init__(self, layers: list[_Layer], tile: int):
-        self.layers = layers
+    def __init__(self, tile: int):
         self.tile = tile
 
-    def backward(self, dout: np.ndarray, tapes: list[list], input_grad: bool = True,
-                 grads: dict | None = None) -> np.ndarray | None:
-        weighted = [wb for layer in self.layers for wb in layer.weighted()]
-
+    def backward(self, dout: np.ndarray, tapes: list[list], grads: dict,
+                 input_grad: bool = True) -> np.ndarray | None:
         def tile_backward(args):
             d, tile_tape = args
-            tile_grads = {wb: (np.zeros_like(wb.weight), np.zeros_like(wb.bias)) for wb in weighted}
+            tile_grads: dict = {}
             return _replay(tile_tape, d, input_grad, tile_grads), tile_grads
 
         douts = np.split(dout, range(self.tile, len(dout), self.tile))
@@ -723,9 +714,7 @@ def train(net: Network, samples, cfg: TrainConfig) -> TrainResult:
             losses.append(loss)
             correct += int(((z >= 0).astype(np.float64) == y_all[idx]).sum())
             seen += len(idx)
-            net.zero_gradients()
-            net.backward(tape, dz)
-            for p, v, g in zip(params, velocity, net.gradients()):
+            for p, v, g in zip(params, velocity, net.backward(tape, dz)):
                 v *= cfg.momentum
                 v -= cfg.learning_rate * g
                 p += v

@@ -146,7 +146,6 @@ _COMMAND_OPTIONS = {
         "out_dir": Option(str, None),
         "patch_size": Option(integer, 228),
         "stride": Option(integer, 20),
-        "kernel_size": Option(integer, 27),
         "methods": Option(str, "top,random,whole,center,gt",
                           "comma-separated subset of " + ",".join(EVAL_METHODS)),
         "seed": Option(integer, 0),
@@ -290,10 +289,7 @@ def _cmd_evaluate(opts: dict) -> None:
     manifest = CorpusManifest.load(opts["manifest"])
     net = load_model(opts["model"]) if opts["model"] and "top" in methods else None
     grid = PatchGridSpec(patch_size=opts["patch_size"], stride=opts["stride"])
-    est_cfg = EstimatorConfig(kernel_size=opts["kernel_size"])
-    records = evaluate_pipeline(
-        manifest, grid, est_cfg, net=net, methods=methods, master_seed=opts["seed"]
-    )
+    records = evaluate_pipeline(manifest, grid, net=net, methods=methods, master_seed=opts["seed"])
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     write_eval_csv(records, out_dir / "results.csv")

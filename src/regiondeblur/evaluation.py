@@ -220,7 +220,7 @@ def check_methods(methods) -> tuple[str, ...]:
 
 
 def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
-                      est_cfg: EstimatorConfig, *, net=None,
+                      est_cfg: EstimatorConfig | None = None, *, net=None,
                       methods=EVAL_METHODS, master_seed: int = 0) -> list[EvalRecord]:
     """Benchmark kernel estimation from differently chosen regions.
 
@@ -229,7 +229,8 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
     ``gt`` (true kernel, a control whose error ratio is 1 by construction).
     `_region` picks each method's patch; every estimate is made at the true
     kernel's longer side (`EstimatorConfig.for_kernel`), so ``est_cfg`` is
-    unread. Per-image failures become status rows instead of aborting the run.
+    unread; it stays because perfbench's ``deblur_unit`` passes one.
+    Per-image failures become status rows instead of aborting the run.
     """
     methods = check_methods(methods)
     if "top" in methods and net is None:

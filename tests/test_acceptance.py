@@ -119,13 +119,11 @@ def test_acceptance_4_gradient_check(capsys):
     tape = []
     z = net.logits(x, tape)
     _, dz = bce_with_logits(z, y)
-    net.zero_gradients()
-    net.backward(tape, dz)
 
     h = 1e-5
     worst = 0.0
     checked = 0
-    for p, g in zip(net.parameters(), net.gradients()):
+    for p, g in zip(net.parameters(), net.backward(tape, dz), strict=True):
         flat, gflat = p.reshape(-1), g.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
@@ -261,7 +259,7 @@ def _run_pipeline(root, sharp, kernels, jobs="1"):
                  "--learning-rate", "0.01", "--seed", "3"]) == EXIT_OK
     assert main(["evaluate", "--manifest", str(corpus / "manifest.json"),
                  "--model", str(model / "model.bin"), "--out-dir", str(evaldir),
-                 "--patch-size", "32", "--stride", "32", "--kernel-size", "7"]) == EXIT_OK
+                 "--patch-size", "32", "--stride", "32"]) == EXIT_OK
     return {
         "manifest": (corpus / "manifest.json").read_bytes(),
         "blurred": {p.name: p.read_bytes() for p in sorted(corpus.glob("*.pfm"))},

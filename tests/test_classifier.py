@@ -256,7 +256,6 @@ def test_training_step_reuses_freed_memory():
     def step():
         tape = []
         _, dz = bce_with_logits(net.logits(x, tape), y)
-        net.zero_gradients()
         net.backward(tape, dz)
 
     step()
@@ -274,10 +273,16 @@ def _force_tile_workers(monkeypatch, workers):
     monkeypatch.setattr(classifier, "_tile_workers", lambda tiles: min(tiles, workers))
 
 
+def _in_parameter_order(net, grads):
+    """The `(d_weight, d_bias)` pairs of a layer-level gradient dict, listed
+    like `net.parameters()`."""
+    return [g for layer in net.layers for wb in layer.weighted() for g in grads[wb]]
+
+
 def _whole_batch_step(net, x, y):
     """Logits, loss and parameter gradients of one step as a whole-batch
     taped pass computes them: every layer runs once on the whole batch and
-    accumulates straight into its own gradients."""
+    accumulates straight into one gradient dict."""
     z = x.reshape(len(x), 1, net.input_side, net.input_side)
     z = (z - z.mean(axis=(2, 3), keepdims=True)) / (z.std(axis=(2, 3), keepdims=True) + _STANDARDIZE_EPS)
     tape = []
@@ -285,12 +290,12 @@ def _whole_batch_step(net, x, y):
         z = layer.forward(z, tape)
     z = z.reshape(-1)
     loss, dz = bce_with_logits(z, y)
-    net.zero_gradients()
+    grads = {}
     d = dz.reshape(-1, 1)
     for index in range(len(tape) - 1, -1, -1):
         layer, saved = tape[index]
-        d = layer.backward(d, saved, input_grad=index > 0)
-    return z, loss, [g.copy() for g in net.gradients()]
+        d = layer.backward(d, saved, grads, input_grad=index > 0)
+    return z, loss, _in_parameter_order(net, grads)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -304,10 +309,9 @@ def test_tiled_training_step_matches_the_whole_batch_step(monkeypatch, workers):
     tape = []
     z = net.logits(x, tape)
     loss, dz = bce_with_logits(z, y)
-    net.zero_gradients()
-    net.backward(tape, dz)
+    grads = net.backward(tape, dz)
     assert np.array_equal(z, want_z) and loss == want_loss
-    for got, want in zip(net.gradients(), want_grads):
+    for got, want in zip(grads, want_grads, strict=True):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -475,9 +479,10 @@ def test_conv_matches_the_padded_reference_bit_for_bit(n, c, out_channels, k, st
     tape = []
     out = conv.forward(x, tape)
     dout = rng.normal(size=out.shape)
-    dx = conv.backward(dout, tape[0][1])
+    grads = {}
+    dx = conv.backward(dout, tape[0][1], grads)
     expected = _padded_conv(conv, x, dout)
-    for got, want in zip((out, conv.grad_weight, conv.grad_bias, dx), expected):
+    for got, want in zip((out, *grads[conv], dx), expected):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -513,15 +518,13 @@ def test_backward_skips_only_the_discarded_input_gradient(first):
     x = rng.uniform(0, 1, (4, 12, 12))
     tape = []
     _, dz = bce_with_logits(net.logits(x, tape), np.array([1.0, 0.0, 1.0, 0.0]))
-    net.zero_gradients()
-    net.backward(tape, dz)
-    skipped = [g.copy() for g in net.gradients()]
-    net.zero_gradients()
+    skipped = net.backward(tape, dz)
+    grads = {}
     d = dz.reshape(-1, 1)
     for layer, saved in reversed(tape):
-        d = layer.backward(d, saved)
+        d = layer.backward(d, saved, grads)
     assert d.shape == (4, 1, 12, 12)
-    assert all(np.array_equal(a, b) for a, b in zip(skipped, net.gradients()))
+    assert all(np.array_equal(a, b) for a, b in zip(skipped, _in_parameter_order(net, grads), strict=True))
 
 
 def test_backward_matches_finite_differences():
@@ -537,12 +540,10 @@ def test_backward_matches_finite_differences():
     tape = []
     z = net.logits(x, tape)
     _, dz = bce_with_logits(z, y)
-    net.zero_gradients()
-    net.backward(tape, dz)
 
     h = 1e-5
     worst = 0.0
-    for p, g in zip(net.parameters(), net.gradients()):
+    for p, g in zip(net.parameters(), net.backward(tape, dz), strict=True):
         flat, gflat = p.reshape(-1), g.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
@@ -556,6 +557,25 @@ def test_backward_matches_finite_differences():
     assert worst < 1e-4
 
 
+def test_backward_returns_fresh_gradients_and_layers_keep_none():
+    """Two backward passes over one tape (three tiles) return equal lists in
+    `parameters()` order whose arrays are new: none shares memory with
+    another or with a parameter, and no layer keeps a gradient attribute."""
+    net = build_small_resnet(seed=6, input_side=64)
+    x = _scene_patches(37, 64, seed=17)
+    tape = []
+    _, dz = bce_with_logits(net.logits(x, tape), np.arange(37) % 2)
+    first, second = net.backward(tape, dz), net.backward(tape, dz)
+    params = net.parameters()
+    assert [g.shape for g in first] == [p.shape for p in params]
+    assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
+    arrays = first + second + params
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    for layer in [*net.layers, *(wb for layer in net.layers for wb in layer.weighted())]:
+        assert not [name for name in vars(layer) if "grad" in name]
+
+
 def test_duplicated_batch_keeps_mean_gradient():
     net = toy_net(seed=10)
     x = np.random.default_rng(11).uniform(0, 1, (1, 8, 8))
@@ -563,17 +583,13 @@ def test_duplicated_batch_keeps_mean_gradient():
 
     tape = []
     _, dz = bce_with_logits(net.logits(x, tape), y)
-    net.zero_gradients()
-    net.backward(tape, dz)
-    single = [g.copy() for g in net.gradients()]
+    single = net.backward(tape, dz)
 
     x2 = np.concatenate([x, x])
     y2 = np.array([1.0, 1.0])
     tape = []
     _, dz2 = bce_with_logits(net.logits(x2, tape), y2)
-    net.zero_gradients()
-    net.backward(tape, dz2)
-    for a, b in zip(single, net.gradients()):
+    for a, b in zip(single, net.backward(tape, dz2), strict=True):
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -584,9 +600,7 @@ def test_saturated_correct_predictions_are_stationary():
     y = np.ones(4)
     tape = []
     _, dz = bce_with_logits(net.logits(x, tape), y)
-    net.zero_gradients()
-    net.backward(tape, dz)
-    assert max(float(np.max(np.abs(g))) for g in net.gradients()) < 1e-6
+    assert max(float(np.max(np.abs(g))) for g in net.backward(tape, dz)) < 1e-6
 
 
 # ---------------------------------------------------------------------------

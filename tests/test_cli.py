@@ -184,6 +184,27 @@ def test_deblur_has_no_latent_weight_option(pipeline, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_evaluate_has_no_kernel_size_option(pipeline, tmp_path, capsys, via):
+    """evaluate estimates at each true kernel's side, so a kernel size is
+    refused by flag or config file alike, before anything is written."""
+    out = tmp_path / "eval"
+    argv = [
+        "evaluate", "--manifest", str(pipeline["corpus"] / "manifest.json"), "--out-dir", str(out),
+        "--patch-size", "32", "--stride", "32", "--methods", "gt",
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel_size": 15}))
+    extra = ["--kernel-size", "15"] if via == "flag" else ["--config", str(cfg)]
+    assert main(argv + extra) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    if via == "flag":
+        assert "unrecognized arguments: --kernel-size 15" in err
+    else:
+        assert "config key 'kernel_size' is not an option of 'evaluate'" in err
+    assert not out.exists()
+
+
 def test_select_rejects_top_below_one_before_reading_the_model(tmp_path, capsys):
     image = tmp_path / "img.pgm"
     write_image(flat_patch(32, 0.5), image)
@@ -209,8 +230,7 @@ def test_evaluate_outputs(pipeline, tmp_path, capsys):
     assert main([
         "evaluate", "--manifest", str(pipeline["corpus"] / "manifest.json"),
         "--model", str(pipeline["model"]), "--out-dir", str(out),
-        "--patch-size", "32", "--stride", "32", "--kernel-size", "7",
-        "--methods", "gt,center,top",
+        "--patch-size", "32", "--stride", "32", "--methods", "gt,center,top",
     ]) == EXIT_OK
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0] == EVAL_CSV_HEADER
@@ -218,8 +238,8 @@ def test_evaluate_outputs(pipeline, tmp_path, capsys):
     assert (out / "success_curve.svg").exists()
     assert _run_config(out) == {"command": "evaluate", "options": {
         "manifest": str(pipeline["corpus"] / "manifest.json"), "model": str(pipeline["model"]),
-        "out_dir": str(out), "patch_size": 32, "stride": 32, "kernel_size": 7,
-        "methods": "gt,center,top", "seed": 0,
+        "out_dir": str(out), "patch_size": 32, "stride": 32, "methods": "gt,center,top",
+        "seed": 0,
     }}
     printed = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in printed] == ["gt", "center", "top"]
@@ -242,7 +262,7 @@ def test_evaluate_turns_a_failing_image_into_status_rows(pipeline, tmp_path, cap
         ]) == EXIT_OK
     argv = [
         "evaluate", "--manifest", str(corpus / "manifest.json"), "--out-dir", str(tmp_path / "eval"),
-        "--patch-size", "32", "--stride", "32", "--kernel-size", "7", "--methods", "gt,center",
+        "--patch-size", "32", "--stride", "32", "--methods", "gt,center",
     ]
     assert main(argv) == EXIT_OK
     rows = [line.split(",") for line in (tmp_path / "eval" / "results.csv").read_text().splitlines()[1:]]
@@ -264,8 +284,7 @@ def test_evaluate_rejects_a_patch_size_its_model_cannot_score(pipeline, tmp_path
     assert main([
         "evaluate", "--manifest", str(pipeline["corpus"] / "manifest.json"),
         "--model", str(pipeline["model"]), "--out-dir", str(out),
-        "--patch-size", "48", "--stride", "16", "--kernel-size", "7",
-        "--methods", "top,gt",
+        "--patch-size", "48", "--stride", "16", "--methods", "top,gt",
     ]) == EXIT_VALIDATION
     assert "patch size 48" in capsys.readouterr().err
     assert not out.exists()
@@ -284,7 +303,7 @@ def test_evaluate_rejects_an_empty_or_repeated_method_list(pipeline, tmp_path, c
     out = tmp_path / "eval"
     assert main([
         "evaluate", "--manifest", str(pipeline["corpus"] / "manifest.json"), "--out-dir", str(out),
-        "--patch-size", "32", "--stride", "32", "--kernel-size", "7", "--methods", methods,
+        "--patch-size", "32", "--stride", "32", "--methods", methods,
     ]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -310,7 +329,7 @@ def test_evaluate_reads_the_model_only_for_top(pipeline, tmp_path):
     (tmp_path / "bad.bin").write_bytes(b"not a model")
     argv = [
         "evaluate", "--manifest", str(pipeline["corpus"] / "manifest.json"),
-        "--patch-size", "32", "--stride", "32", "--kernel-size", "7", "--methods", "gt",
+        "--patch-size", "32", "--stride", "32", "--methods", "gt",
     ]
     plain, bad = tmp_path / "plain", tmp_path / "bad"
     assert main(argv + ["--out-dir", str(plain)]) == EXIT_OK
