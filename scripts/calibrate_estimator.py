@@ -30,7 +30,7 @@ def main() -> None:
         true_kernel = random_motion_kernel(side, seed=args.kernel_seed + i)
         blurred = blur_image(sharp, true_kernel, NoiseModel(sigma=args.sigma, seed=i))
         estimate = estimate_kernel(blurred, EstimatorConfig(kernel_size=side))
-        sim = kernel_similarity(estimate.kernel, true_kernel).value
+        sim = kernel_similarity(estimate.kernel, true_kernel)
         sims.append(sim)
         flag = " degenerate" if estimate.degenerate else ""
         print(f"case {i}: {side}x{side} kernel, similarity {sim:.4f}{flag}")

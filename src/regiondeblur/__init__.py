@@ -30,7 +30,7 @@ from .imagecore import (
     write_image,
     write_kernel,
 )
-from .kernelsim import LabelConfig, kernel_similarity, label
+from .kernelsim import kernel_similarity
 from .labeling import LabeledDataset, build_dataset, load_training_samples
 from .selector import score_patches
 from .synthesis import CorpusManifest, NoiseModel, PatchGridSpec, PatchRef, blur_image, generate_corpus
@@ -46,7 +46,6 @@ __all__ = [
     "EstimatorConfig",
     "Image",
     "Kernel",
-    "LabelConfig",
     "LabeledDataset",
     "ModelFormatError",
     "Network",
@@ -68,7 +67,6 @@ __all__ = [
     "evaluate_pipeline",
     "generate_corpus",
     "kernel_similarity",
-    "label",
     "load_model",
     "load_training_samples",
     "psnr",

@@ -562,7 +562,7 @@ class _TileTapes:
         return np.concatenate([d for d, _ in results]) if input_grad else None
 
 
-def build_small_resnet(seed: int = 0, input_side: int = 228, *, standardize: bool = True) -> Network:
+def build_small_resnet(seed: int = 0, input_side: int = 228) -> Network:
     """The default architecture: 7x7/2 stem into 16/32/64 residual stages."""
     rng = np.random.default_rng(seed)
     layers = [
@@ -574,7 +574,7 @@ def build_small_resnet(seed: int = 0, input_side: int = 228, *, standardize: boo
         GlobalAveragePool(),
         Dense(64, 1, rng),
     ]
-    return Network(layers, input_side=input_side, standardize=standardize)
+    return Network(layers, input_side=input_side)
 
 
 def _layer_args(desc) -> tuple[type[_Layer], list[int]]:

@@ -45,7 +45,6 @@ from .evaluation import (
     write_success_curve_svg,
 )
 from .imagecore import read_image, write_image, write_kernel
-from .kernelsim import LabelConfig
 from .labeling import (
     LabeledDataset,
     build_dataset,
@@ -202,9 +201,8 @@ def _cmd_label(opts: dict) -> None:
     manifest = CorpusManifest.load(opts["manifest"])
     grid = PatchGridSpec(patch_size=opts["patch_size"], stride=opts["stride"])
     est_cfg = EstimatorConfig(kernel_size=opts["kernel_size"])
-    label_cfg = LabelConfig(threshold=opts["threshold"])
     out_dir = Path(opts["out_dir"])
-    dataset = build_dataset(manifest, grid, est_cfg, label_cfg, out_dir, jobs=opts["jobs"])
+    dataset = build_dataset(manifest, grid, est_cfg, opts["threshold"], out_dir, jobs=opts["jobs"])
     report = class_balance_report(dataset)
     print(
         f"labeled {report['total']} patches: {report['positives']} positive, "

@@ -265,7 +265,7 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
                     estimate = estimate_kernel(blurred if ref is None else extract(blurred, ref), cfg)
                     recovered = align_to_reference(deconvolve(blurred, estimate.kernel), sharp,
                                                    margin, margin)
-                    similarity = kernel_similarity(estimate.kernel, true_kernel).value
+                    similarity = kernel_similarity(estimate.kernel, true_kernel)
                     status = "degenerate" if estimate.degenerate else "ok"
                 scores = (error_ratio(recovered, sharp, baseline, margin),
                           _interior_psnr(recovered, sharp, margin), similarity)

@@ -1,4 +1,4 @@
-"""Kernel similarity scoring and threshold labeling.
+"""Kernel similarity: how well an estimated blur kernel matches the true one.
 
 Similarity is the maximum normalized cross-correlation over all integer 2-D
 shifts: the best overlap sum divided by the product of the L2 norms. The best
@@ -6,13 +6,13 @@ overlap is the largest correctly rounded (math.fsum) per-shift sum, so
 identical kernels score exactly 1.0 and the score is exactly invariant to
 translating either kernel. All shifts are first summed at once in floating
 point; only those whose float sum lies within the rounding bound of the float
-maximum are summed again with math.fsum.
+maximum are summed again with math.fsum. `labeling.build_dataset` turns a
+similarity into a patch label with one threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,26 +22,6 @@ from .imagecore import Kernel
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
-
-
-@dataclass(frozen=True)
-class SimilarityScore:
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ValidationError(f"similarity must lie in [0, 1], got {self.value!r}")
-
-
-@dataclass(frozen=True)
-class LabelConfig:
-    """A patch is a positive example when similarity >= threshold."""
-
-    threshold: float = 0.75
-
-    def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValidationError(f"threshold must lie in (0, 1), got {self.threshold!r}")
 
 
 def _weights_of(k) -> np.ndarray:
@@ -60,8 +40,8 @@ def _exact_sum(values: np.ndarray) -> float:
     return math.fsum(nz.tolist())
 
 
-def kernel_similarity(k_est, k_true) -> SimilarityScore:
-    """Best-aligned normalized cross-correlation of two kernels.
+def kernel_similarity(k_est, k_true) -> float:
+    """Best-aligned normalized cross-correlation of two kernels, in [0, 1].
 
     Accepts Kernel values or raw non-negative 2-D arrays; the score ignores
     positive rescaling of either argument. Raises ValidationError when either
@@ -96,13 +76,4 @@ def kernel_similarity(k_est, k_true) -> SimilarityScore:
         s = _exact_sum(a * windows[i, j])
         if s > best:
             best = s
-    value = best / math.sqrt(sq_a * sq_b)
-    return SimilarityScore(min(1.0, value))
-
-
-def label(similarity, config: LabelConfig = LabelConfig()) -> int:
-    """1 when the similarity clears the threshold (inclusive), else 0."""
-    value = similarity.value if isinstance(similarity, SimilarityScore) else float(similarity)
-    if not (0.0 <= value <= 1.0):
-        raise ValidationError(f"similarity must lie in [0, 1], got {value!r}")
-    return int(value >= config.threshold)
+    return min(1.0, best / math.sqrt(sq_a * sq_b))

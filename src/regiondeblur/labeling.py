@@ -20,7 +20,7 @@ from .classifier import TrainingSample
 from .errors import DimensionError, ParseError, ValidationError
 from .estimator import SETTINGS, EstimatorConfig, estimate_kernel
 from .imagecore import read_image, read_kernel
-from .kernelsim import LabelConfig, kernel_similarity, label
+from .kernelsim import kernel_similarity
 from .synthesis import (
     CorpusManifest,
     PatchGridSpec,
@@ -123,15 +123,20 @@ def _label_one_image(task):
         if estimate.degenerate:
             rows.append((ref, 0.0, STATUS_DEGENERATE))
         else:
-            sim = kernel_similarity(estimate.kernel, true_kernel)
-            rows.append((ref, sim.value, STATUS_OK))
+            rows.append((ref, kernel_similarity(estimate.kernel, true_kernel), STATUS_OK))
     return rows
 
 
 def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
-                  est_cfg: EstimatorConfig, label_cfg: LabelConfig,
+                  est_cfg: EstimatorConfig, threshold: float,
                   out_dir=None, *, jobs: int = 1) -> LabeledDataset:
     """Label every patch of every corpus image against its true kernel.
+
+    A patch is labeled 1 when the similarity of its estimated kernel to the
+    true one is at least ``threshold``, which must lie strictly between 0
+    and 1, and 0 otherwise. A degenerate estimate is recorded with
+    similarity 0.0, so it is always labeled 0. The threshold is checked
+    before any work is done or ``out_dir`` is made.
 
     Images are labeled in ``jobs`` worker processes (``jobs`` must be >= 1;
     1 runs in-process) and reassembled in manifest order, so the dataset is
@@ -141,6 +146,8 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
     there as ``dataset.json``; its manifest path points at the manifest's
     file if the manifest has a ``base_dir``.
     """
+    if not (0.0 < threshold < 1.0):
+        raise ValidationError(f"threshold must lie in (0, 1), got {threshold!r}")
     if not manifest.entries:
         raise ValidationError("corpus manifest has no entries")
     tasks = [
@@ -153,19 +160,18 @@ def build_dataset(manifest: CorpusManifest, grid: PatchGridSpec,
     for index, (entry, rows) in enumerate(zip(manifest.entries, results)):
         image_id = Path(entry.blurred_path).stem
         for ref, sim, status in rows:
-            lab = 0 if status == STATUS_DEGENERATE else label(sim, label_cfg)
             samples.append(LabeledSample(
                 image_id=image_id,
                 image_index=index,
                 ref=ref,
                 similarity=sim,
-                label=lab,
+                label=int(sim >= threshold),
                 status=status,
             ))
 
     dataset = LabeledDataset(
         samples=tuple(samples),
-        threshold=label_cfg.threshold,
+        threshold=threshold,
         estimator_fingerprint=estimator_fingerprint(est_cfg),
     )
     if out_dir is not None:

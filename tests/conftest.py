@@ -51,7 +51,7 @@ def roundtrip_cases():
             "side": side,
             "true_kernel": true_kernel,
             "estimate": estimate,
-            "similarity": kernel_similarity(estimate.kernel, true_kernel).value,
+            "similarity": kernel_similarity(estimate.kernel, true_kernel),
         })
     FIXTURE_SECONDS["roundtrip_cases"] = time.perf_counter() - t0
     return cases
@@ -109,7 +109,7 @@ def acceptance_dataset():
         true_kernel = random_motion_kernel(side, seed=3000 + i)
         blurred = blur_image(patch, true_kernel, NoiseModel(sigma=1.0, seed=4000 + i))
         estimate = estimate_kernel(blurred, EstimatorConfig(kernel_size=side))
-        sim = 0.0 if estimate.degenerate else kernel_similarity(estimate.kernel, true_kernel).value
+        sim = 0.0 if estimate.degenerate else kernel_similarity(estimate.kernel, true_kernel)
         samples.append({"patch": blurred, "similarity": sim, "kind": kind})
     threshold = float(np.median([s["similarity"] for s in samples]))
     labeled = [

@@ -146,21 +146,21 @@ def test_acceptance_5_similarity_properties(capsys):
     ok = True
     for _ in range(20):
         k = _random_kernel(rng, int(rng.integers(1, 8)) * 2 + 1)
-        ok = ok and kernel_similarity(k, k).value == 1.0
+        ok = ok and kernel_similarity(k, k) == 1.0
     small = _random_kernel(rng, 5).weights
     a = np.zeros((11, 11))
     b = np.zeros((11, 11))
     a[0:5, 0:5] = small
     b[4:9, 6:11] = small
-    ok = ok and kernel_similarity(Kernel(a), Kernel(b)).value == 1.0
+    ok = ok and kernel_similarity(Kernel(a), Kernel(b)) == 1.0
     probe = _random_kernel(rng, 7)
-    ok = ok and kernel_similarity(Kernel(a), probe).value == kernel_similarity(Kernel(b), probe).value
+    ok = ok and kernel_similarity(Kernel(a), probe) == kernel_similarity(Kernel(b), probe)
     in_range = True
     for _ in range(200):
         x = _random_kernel(rng, int(rng.integers(1, 8)) * 2 + 1)
         y = _random_kernel(rng, int(rng.integers(1, 8)) * 2 + 1)
-        s = kernel_similarity(x, y).value
-        t = kernel_similarity(y, x).value
+        s = kernel_similarity(x, y)
+        t = kernel_similarity(y, x)
         ok = ok and s == t
         in_range = in_range and 0.0 <= s <= 1.0
     ok = ok and in_range

@@ -1,5 +1,6 @@
 import math
 import platform
+import statistics
 import sys
 import threading
 import tracemalloc
@@ -246,7 +247,9 @@ def test_inference_memory_is_bounded_per_tile():
 def test_training_step_reuses_freed_memory():
     """A steady-state training step faults no fresh pages in: the memory the
     previous step's tape freed stays in the process. Without that, a batch-32,
-    64 px step takes about 6,500 minor faults."""
+    64 px step takes about 6,500 minor faults. Steady steps take a dozen or
+    so, but one now and then takes several hundred, so the bar is on the
+    median of five steps after two warm-up steps."""
     import resource
 
     net = build_small_resnet(seed=0, input_side=64)
@@ -260,9 +263,12 @@ def test_training_step_reuses_freed_memory():
 
     step()
     step()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    step()
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert statistics.median(faults) < 500, faults
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,27 @@ def test_label_records_the_manifest_file_it_read(pipeline, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("config, flags", [({}, ["--lambda", "1.0"]), ({"threshold": 0}, [])],
+                         ids=["flag-1.0", "config-0"])
+def test_label_rejects_a_threshold_outside_the_open_unit_interval(pipeline, tmp_path, capsys,
+                                                                   config, flags):
+    """A threshold of 0 or 1 labels every patch alike, so it exits 2 and
+    leaves no out_dir, run_config.json included, whether it comes from the
+    flag or from the config file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([
+        "label", "--config", str(cfg), "--manifest", str(pipeline["corpus"] / "manifest.json"),
+        "--out-dir", str(out), "--patch-size", "32", "--stride", "32", "--kernel-size", "7",
+        *flags,
+    ])
+    assert code == EXIT_VALIDATION
+    assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+    assert not (out / "run_config.json").exists()
+    assert not out.exists()
+
+
 def test_config_file_sits_between_defaults_and_flags(pipeline, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sigma": 2.0, "seed": 7}))

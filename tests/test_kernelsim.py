@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from regiondeblur.demodata import random_motion_kernel
 from regiondeblur.errors import ValidationError
 from regiondeblur.imagecore import Kernel
-from regiondeblur.kernelsim import LabelConfig, SimilarityScore, kernel_similarity, label
+from regiondeblur.kernelsim import kernel_similarity
 
 
 def random_kernel(seed, side):
@@ -21,20 +21,20 @@ def test_row_vs_column_hand_value():
     row = Kernel(np.full((1, 3), 1.0 / 3.0))
     col = Kernel(np.full((3, 1), 1.0 / 3.0))
     # best shift overlaps one cell: (1/9) / (1/sqrt(3) * 1/sqrt(3)) = 1/3
-    assert kernel_similarity(row, col).value == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert kernel_similarity(row, col) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("side", [1, 3, 5, 7])
 def test_delta_vs_box_analytic_family(side):
     delta = Kernel.delta(1)
     box = Kernel(np.full((side, side), 1.0 / side ** 2))
-    assert kernel_similarity(delta, box).value == pytest.approx(1.0 / side, abs=1e-12)
+    assert kernel_similarity(delta, box) == pytest.approx(1.0 / side, abs=1e-12)
 
 
 def test_identity_is_exactly_one():
     for seed in range(5):
         k = random_kernel(seed, 2 * (seed % 3) + 3)
-        assert kernel_similarity(k, k).value == 1.0
+        assert kernel_similarity(k, k) == 1.0
 
 
 def test_shift_invariance_is_exact():
@@ -44,8 +44,8 @@ def test_shift_invariance_is_exact():
     cornered = np.zeros((7, 7))
     cornered[0:3, 0:3] = base.weights
     probe = random_kernel(8, 5)
-    a = kernel_similarity(probe, Kernel(centered)).value
-    b = kernel_similarity(probe, Kernel(cornered)).value
+    a = kernel_similarity(probe, Kernel(centered))
+    b = kernel_similarity(probe, Kernel(cornered))
     assert a == b
 
 
@@ -53,19 +53,19 @@ def test_symmetry_is_exact():
     for seed in range(6):
         a = random_kernel(seed, 5)
         b = random_motion_kernel(7, seed=seed + 50)
-        assert kernel_similarity(a, b).value == kernel_similarity(b, a).value
+        assert kernel_similarity(a, b) == kernel_similarity(b, a)
 
 
 def test_mixed_shapes_are_accepted():
     a = Kernel(np.full((1, 5), 0.2))
     b = random_kernel(3, 7)
-    value = kernel_similarity(a, b).value
+    value = kernel_similarity(a, b)
     assert 0.0 < value <= 1.0
 
 
 def test_raw_arrays_are_accepted():
     a = np.array([[0.0, 2.0], [1.0, 1.0]])
-    assert kernel_similarity(a, a).value == 1.0
+    assert kernel_similarity(a, a) == 1.0
 
 
 def test_zero_mass_kernel_is_rejected():
@@ -88,7 +88,8 @@ def test_negative_weights_are_rejected():
 def test_similarity_stays_in_unit_interval(seed_a, seed_b, side_a, side_b):
     a = random_kernel(seed_a, side_a)
     b = random_kernel(seed_b, side_b)
-    value = kernel_similarity(a, b).value
+    value = kernel_similarity(a, b)
+    assert type(value) is float
     assert 0.0 <= value <= 1.0
 
 
@@ -98,37 +99,9 @@ def test_blend_toward_target_raises_similarity():
     sims = []
     for t in (0.0, 0.5, 1.0):
         mix = (1 - t) * b.weights + t * a.weights
-        sims.append(kernel_similarity(a, Kernel(mix / mix.sum())).value)
+        sims.append(kernel_similarity(a, Kernel(mix / mix.sum())))
     assert sims[0] < sims[1] < sims[2]
     assert sims[2] == 1.0
-
-
-def test_similarity_score_validates_range():
-    with pytest.raises(ValidationError):
-        SimilarityScore(1.5)
-    with pytest.raises(ValidationError):
-        SimilarityScore(-0.1)
-
-
-def test_label_threshold_boundary_is_inclusive():
-    cfg = LabelConfig()
-    assert cfg.threshold == 0.75
-    assert label(0.870, cfg) == 1
-    assert label(0.440, cfg) == 0
-    assert label(0.75, cfg) == 1
-
-
-def test_label_accepts_score_objects():
-    cfg = LabelConfig(threshold=0.5)
-    assert label(SimilarityScore(0.5), cfg) == 1
-    assert label(SimilarityScore(0.499), cfg) == 0
-
-
-def test_label_config_rejects_degenerate_thresholds():
-    with pytest.raises(ValidationError):
-        LabelConfig(threshold=0.0)
-    with pytest.raises(ValidationError):
-        LabelConfig(threshold=1.0)
 
 
 def _reference_similarity(k_est, k_true) -> float:
@@ -188,8 +161,8 @@ def test_similarity_is_bit_identical_to_the_double_loop(a, b):
         with pytest.raises(ValidationError):
             kernel_similarity(a, b)
         return
-    assert kernel_similarity(a, b).value == expected
-    assert kernel_similarity(b, a).value == expected
+    assert kernel_similarity(a, b) == expected
+    assert kernel_similarity(b, a) == expected
 
 
 @pytest.mark.parametrize("a, b", [
@@ -205,12 +178,12 @@ def test_similarity_is_bit_identical_to_the_double_loop(a, b):
      np.array([[1.0 + _ULP, 1.0, 0.5 * _ULP, 1.0, 1.0 + _ULP]])),
 ])
 def test_similarity_matches_the_double_loop_on_tied_shifts(a, b):
-    assert kernel_similarity(a, b).value == _reference_similarity(a, b)
-    assert kernel_similarity(b, a).value == _reference_similarity(b, a)
+    assert kernel_similarity(a, b) == _reference_similarity(a, b)
+    assert kernel_similarity(b, a) == _reference_similarity(b, a)
 
 
 def test_motion_kernels_match_the_double_loop():
     for seed in range(20):
         a = random_motion_kernel(15, seed=seed)
         b = random_motion_kernel((11, 13, 15)[seed % 3], seed=seed + 100)
-        assert kernel_similarity(a, b).value == _reference_similarity(a, b)
+        assert kernel_similarity(a, b) == _reference_similarity(a, b)

@@ -8,7 +8,6 @@ from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel
 from regiondeblur.errors import ValidationError
 from regiondeblur.estimator import EstimatorConfig, estimate_kernel
 from regiondeblur.imagecore import write_image, write_kernel
-from regiondeblur.kernelsim import LabelConfig
 from regiondeblur.labeling import (
     STATUS_DEGENERATE,
     LabeledDataset,
@@ -21,7 +20,7 @@ from regiondeblur.synthesis import CorpusManifest, NoiseModel, PatchGridSpec, ge
 
 GRID = PatchGridSpec(patch_size=24, stride=24)
 EST = EstimatorConfig(kernel_size=7)
-LABELS = LabelConfig(threshold=0.5)
+THRESHOLD = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +51,7 @@ def flat_corpus(tmp_path_factory):
 
 
 def test_build_dataset_labels_every_patch(scene_corpus):
-    ds = build_dataset(scene_corpus, GRID, EST, LABELS)
+    ds = build_dataset(scene_corpus, GRID, EST, THRESHOLD)
     assert len(ds.samples) == 8
     assert ds.threshold == 0.5
     for s in ds.samples:
@@ -66,7 +65,34 @@ def test_build_dataset_labels_every_patch(scene_corpus):
     assert corners == [(0, 0), (0, 24), (24, 0), (24, 24)]
     # Each image is estimated at its true kernel's size (7), not the
     # configured 9, which would need patches of at least 27 px.
-    assert build_dataset(scene_corpus, GRID, EstimatorConfig(kernel_size=9), LABELS).samples == ds.samples
+    assert build_dataset(scene_corpus, GRID, EstimatorConfig(kernel_size=9), THRESHOLD).samples == ds.samples
+
+
+def test_build_dataset_threshold_boundary_is_inclusive(scene_corpus):
+    """A threshold equal to a row's similarity labels that row 1; one step
+    above it labels the row 0."""
+    sims = [s.similarity for s in build_dataset(scene_corpus, GRID, EST, THRESHOLD).samples]
+    edge = max(sim for sim in sims if 0.0 < sim < 1.0)
+    at = build_dataset(scene_corpus, GRID, EST, edge)
+    assert at.threshold == edge
+    assert [s.label for s in at.samples] == [int(sim >= edge) for sim in sims]
+    assert at.samples[sims.index(edge)].label == 1
+    above = build_dataset(scene_corpus, GRID, EST, float(np.nextafter(edge, 1.0)))
+    assert above.samples[sims.index(edge)].label == 0
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, float("nan")], ids=["zero", "one", "nan"])
+def test_build_dataset_rejects_a_threshold_outside_the_open_unit_interval(
+        scene_corpus, tmp_path, monkeypatch, threshold):
+    """The threshold is checked before any patch is estimated or out_dir made."""
+    def no_estimate(blurred, cfg):
+        raise AssertionError("a patch was estimated")
+
+    monkeypatch.setattr(labeling, "estimate_kernel", no_estimate)
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError, match=r"threshold must lie in \(0, 1\)"):
+        build_dataset(scene_corpus, GRID, EST, threshold, out)
+    assert not out.exists()
 
 
 def test_build_dataset_estimates_a_non_square_kernel_at_its_longer_side(wide_kernel_corpus,
@@ -79,27 +105,27 @@ def test_build_dataset_estimates_a_non_square_kernel_at_its_longer_side(wide_ker
         return estimate_kernel(blurred, cfg)
 
     monkeypatch.setattr(labeling, "estimate_kernel", spy)
-    ds = build_dataset(wide_kernel_corpus, PatchGridSpec(patch_size=48, stride=48), EST, LABELS)
+    ds = build_dataset(wide_kernel_corpus, PatchGridSpec(patch_size=48, stride=48), EST, THRESHOLD)
     assert sides == [15] * 4
     assert [s.status for s in ds.samples] == ["ok"] * 4
 
 
 def test_build_dataset_jobs_do_not_change_result(scene_corpus, tmp_path):
-    a = build_dataset(scene_corpus, GRID, EST, LABELS, tmp_path / "a", jobs=1)
-    b = build_dataset(scene_corpus, GRID, EST, LABELS, tmp_path / "b", jobs=2)
+    a = build_dataset(scene_corpus, GRID, EST, THRESHOLD, tmp_path / "a", jobs=1)
+    b = build_dataset(scene_corpus, GRID, EST, THRESHOLD, tmp_path / "b", jobs=2)
     assert a.estimator_fingerprint == b.estimator_fingerprint == estimator_fingerprint(EST)
     assert (tmp_path / "a" / "dataset.json").read_bytes() == (tmp_path / "b" / "dataset.json").read_bytes()
 
 
 def test_flat_corpus_degenerates(flat_corpus):
-    ds = build_dataset(flat_corpus, GRID, EST, LABELS)
+    ds = build_dataset(flat_corpus, GRID, EST, THRESHOLD)
     assert all(s.status == STATUS_DEGENERATE for s in ds.samples)
     assert all(s.label == 0 and s.similarity == 0.0 for s in ds.samples)
 
 
 def test_dataset_save_load_round_trip(scene_corpus, tmp_path):
     out = tmp_path / "ds"
-    ds = build_dataset(scene_corpus, GRID, EST, LABELS, out)
+    ds = build_dataset(scene_corpus, GRID, EST, THRESHOLD, out)
     loaded = LabeledDataset.load(out / "dataset.json")
     assert loaded.threshold == ds.threshold
     assert loaded.estimator_fingerprint == ds.estimator_fingerprint
@@ -110,7 +136,7 @@ def test_dataset_save_load_round_trip(scene_corpus, tmp_path):
 
 
 def test_class_balance_report_counts_and_warns(flat_corpus):
-    ds = build_dataset(flat_corpus, GRID, EST, LABELS)
+    ds = build_dataset(flat_corpus, GRID, EST, THRESHOLD)
     with pytest.warns(UserWarning, match="skewed"):
         report = class_balance_report(ds)
     assert report["total"] == 4
@@ -134,12 +160,12 @@ def test_estimator_fingerprint_tracks_config():
 def test_build_dataset_rejects_empty_manifest():
     empty = CorpusManifest(entries=[])
     with pytest.raises(ValidationError):
-        build_dataset(empty, GRID, EST, LABELS)
+        build_dataset(empty, GRID, EST, THRESHOLD)
 
 
 def test_unsaved_dataset_has_no_corpus_to_load_from(scene_corpus):
     with pytest.raises(ValidationError, match="manifest"):
-        load_training_samples(build_dataset(scene_corpus, GRID, EST, LABELS))
+        load_training_samples(build_dataset(scene_corpus, GRID, EST, THRESHOLD))
 
 
 @pytest.mark.parametrize("name", ["refs_dataset.json", "patches_dataset.json"])
@@ -152,7 +178,7 @@ def test_earlier_dataset_files_train_from_the_corpus(scene_corpus, tmp_path, nam
     old_path = old_dir / "dataset.json"
     old_path.write_text((Path(__file__).parent / "data" / name).read_text())
     old = LabeledDataset.load(old_path)
-    fresh = build_dataset(scene_corpus, GRID, EST, LABELS, tmp_path / "fresh")
+    fresh = build_dataset(scene_corpus, GRID, EST, THRESHOLD, tmp_path / "fresh")
     assert old.samples == fresh.samples
     assert old.estimator_fingerprint == fresh.estimator_fingerprint
     a, b = load_training_samples(old), load_training_samples(fresh)
