@@ -27,7 +27,6 @@ def main() -> None:
     ap.add_argument("--stride", type=int, default=32)
     ap.add_argument("--kernel-size", type=int, default=15)
     ap.add_argument("--sigma", type=float, default=1.0)
-    ap.add_argument("--threshold", type=float, default=0.6)
     ap.add_argument("--epochs", type=int, default=12)
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
@@ -41,7 +40,7 @@ def main() -> None:
     run(["label",
          "--manifest", str(ws / "corpus" / "manifest.json"), "--out-dir", str(ws / "dataset"),
          "--patch-size", str(args.patch_size), "--stride", str(args.stride),
-         "--kernel-size", str(args.kernel_size), "--lambda", str(args.threshold),
+         "--kernel-size", str(args.kernel_size),
          "--jobs", str(args.jobs)])
     run(["train",
          "--dataset", str(ws / "dataset" / "dataset.json"), "--out-dir", str(ws / "model"),

@@ -18,9 +18,10 @@ The tiles run on a thread pool that lives for one pass, with one thread per
 tile and at most one per usable CPU (inline on one CPU); numpy releases the
 GIL in its loops and matrix products, so a batch-32 training step of 64 px
 patches runs its two tiles on two cores. A taped pass keeps one tape per
-tile; the backward pass replays each on the same kind of pool into a
-gradient dict of the tile's own, then adds the tiles' dicts in tile order
-into the one whose arrays it returns, so layers hold no gradients. Tile
+tile in the tape's first entry. `Network.backward` runs the head's entries
+back in the calling thread, then each tile's tape on the same kind of pool
+into a gradient dict of the tile's own, and adds the tiles' dicts in tile
+order into the one whose arrays it returns, so layers hold no gradients. Tile
 boundaries come from the pixel budget alone, so logits, gradients and the
 stored model are the same bytes on any number of CPUs, and an untaped
 pass's memory is bounded per tile, not per batch. Scoring
@@ -481,10 +482,10 @@ class Network:
     def logits(self, batch, tape: list | None = None) -> np.ndarray:
         """One float64 logit per patch of `batch`, an (N, side, side) array or a
         sequence of (side, side) patches. A tile of about `_TILE_PIXELS` input
-        pixels is the only copy of the input. A tape gets one `_TileTapes`
-        entry for the trunk, whose saved state is each tile's tape, and then
-        the head's entries. Every logit is bit-identical to a whole-batch
-        pass, with or without a tape."""
+        pixels is the only copy of the input. A tape's first entry is the
+        trunk's, `(tile, [one tape per tile])`, and the head's entries
+        follow. Every logit is bit-identical to a whole-batch pass, with or
+        without a tape."""
         return self._logits(batch, tape, np.float64)
 
     def _logits(self, batch, tape: list | None, dtype) -> np.ndarray:
@@ -509,17 +510,35 @@ class Network:
 
         x = np.concatenate(_map_tiles(trunk, tiles)).astype(np.float64, copy=False)
         if tape is not None:
-            tape.append((_TileTapes(tile), [t for _, t in tiles]))
+            tape.append((tile, [t for _, t in tiles]))
         for layer in self.layers[self._trunk_end:]:
             x = layer.forward(x, tape)
         return x.reshape(-1)
 
     def backward(self, tape: list, dlogits: np.ndarray) -> list[np.ndarray]:
         """Fresh parameter gradients of the pass on `tape`, in `parameters()`
-        order; the network's input gradient is never used, so the first entry
-        skips it."""
+        order. The head runs backward in the calling thread; each tile's tape
+        then runs on a pass-local thread pool into a gradient dict of the
+        tile's own, and those are added in tile order. The network's input
+        gradient is never used, so each tile's first entry skips it."""
         grads: dict = {}
-        _replay(tape, np.asarray(dlogits, dtype=np.float64).reshape(-1, 1), False, grads)
+        d = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)
+        for layer, saved in reversed(tape[1:]):
+            d = layer.backward(d, saved, grads)
+        tile, tile_tapes = tape[0]
+
+        def tile_backward(args) -> dict:
+            d, tile_tape = args
+            tile_grads: dict = {}
+            for index in range(len(tile_tape) - 1, -1, -1):
+                layer, saved = tile_tape[index]
+                d = layer.backward(d, saved, tile_grads, index > 0)
+            return tile_grads
+
+        douts = np.split(d, range(tile, len(d), tile))
+        for tile_grads in _map_tiles(tile_backward, list(zip(douts, tile_tapes))):
+            for wb, (d_weight, d_bias) in tile_grads.items():
+                wb._accumulate(grads, d_weight, d_bias)
         return [g for layer in self.layers for wb in layer.weighted() for g in grads[wb]]
 
     def forward_batch(self, batch) -> np.ndarray:
@@ -527,39 +546,6 @@ class Network:
         weights cast afresh each call, so an in-place edit always shows."""
         z = np.clip(self._logits(batch, None, np.float32), -_LOGIT_CAP, _LOGIT_CAP)
         return _sigmoid(z)
-
-
-def _replay(tape: list, d: np.ndarray, input_grad: bool, grads: dict) -> np.ndarray | None:
-    """Run `tape` backward from the output gradient `d`, adding parameter
-    gradients to `grads`; only its first entry may skip its input gradient."""
-    for index in range(len(tape) - 1, -1, -1):
-        layer, saved = tape[index]
-        d = layer.backward(d, saved, grads, input_grad or index > 0)
-    return d
-
-
-class _TileTapes:
-    """The trunk's entry in a tape: its saved state is one tape per tile of
-    `tile` samples. `backward` replays each tile's tape on a pass-local
-    thread pool into a gradient dict of the tile's own, then adds those to
-    ``grads`` in tile order."""
-
-    def __init__(self, tile: int):
-        self.tile = tile
-
-    def backward(self, dout: np.ndarray, tapes: list[list], grads: dict,
-                 input_grad: bool = True) -> np.ndarray | None:
-        def tile_backward(args):
-            d, tile_tape = args
-            tile_grads: dict = {}
-            return _replay(tile_tape, d, input_grad, tile_grads), tile_grads
-
-        douts = np.split(dout, range(self.tile, len(dout), self.tile))
-        results = _map_tiles(tile_backward, list(zip(douts, tapes)))
-        for _, tile_grads in results:
-            for wb, (d_weight, d_bias) in tile_grads.items():
-                wb._accumulate(grads, d_weight, d_bias)
-        return np.concatenate([d for d, _ in results]) if input_grad else None
 
 
 def build_small_resnet(seed: int = 0, input_side: int = 228) -> Network:

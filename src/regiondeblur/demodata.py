@@ -87,16 +87,16 @@ def eval_scene(side: int = 160, seed: int = 0, stripe_period: int = 2) -> Image:
     return Image(img)
 
 
-def random_motion_kernel(side: int = 13, seed: int = 0, steps: int | None = None) -> Kernel:
-    """Camera-shake style kernel from a smoothed random walk."""
+def random_motion_kernel(side: int = 13, seed: int = 0) -> Kernel:
+    """Camera-shake style kernel from a smoothed random walk of 6 * side
+    steps."""
     if side < 3 or side % 2 == 0:
         raise ValidationError(f"kernel side must be odd and >= 3, got {side}")
     rng = np.random.default_rng(seed)
-    if steps is None:
-        steps = 6 * side
     # All steps' noise in one draw reads the same stream as a draw per step.
     vr, vc = rng.normal(0.0, 0.4, 2).tolist()
-    noise = rng.normal(0.0, 0.25, (max(steps, 0), 2)).tolist()
+    noise = rng.normal(0.0, 0.25, (6 * side, 2)).tolist()
+    # Below side - 1, so every step's four bilinear taps fall in the grid.
     top = side - 1.001
     pr = pc = side / 2.0
     grid = [[0.0] * side for _ in range(side)]
@@ -106,18 +106,10 @@ def random_motion_kernel(side: int = 13, seed: int = 0, steps: int | None = None
         r0, c0 = int(pr), int(pc)
         fr, fc = pr - r0, pc - c0
         grid[r0][c0] += (1 - fr) * (1 - fc)
-        if c0 + 1 < side:
-            grid[r0][c0 + 1] += (1 - fr) * fc
-        if r0 + 1 < side:
-            grid[r0 + 1][c0] += fr * (1 - fc)
-        if r0 + 1 < side and c0 + 1 < side:
-            grid[r0 + 1][c0 + 1] += fr * fc
+        grid[r0][c0 + 1] += (1 - fr) * fc
+        grid[r0 + 1][c0] += fr * (1 - fc)
+        grid[r0 + 1][c0 + 1] += fr * fc
     grid = np.array(grid)
-    blurred = np.array(convolve_direct(Image(grid / max(grid.max(), 1e-12)), _BLUR3).pixels)
-    blurred[blurred < 0] = 0.0
-    total = blurred.sum()
-    if total <= 0:
-        blurred[side // 2, side // 2] = 1.0
-        total = 1.0
-    return Kernel(blurred / total)
+    blurred = convolve_direct(Image(grid / grid.max()), _BLUR3).pixels
+    return Kernel(blurred / blurred.sum())
 

@@ -261,13 +261,10 @@ def _power(spectrum: np.ndarray) -> np.ndarray:
     return spectrum.real ** 2 + spectrum.imag ** 2
 
 
-@functools.lru_cache(maxsize=64)
 def _difference_power(n: int, count: int) -> np.ndarray:
     """|1 - exp(-2 pi i f / n)|^2, the power of a forward difference along a
     side of n pixels, for the first `count` frequencies f."""
-    power = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(count) / n)
-    power.flags.writeable = False
-    return power
+    return 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(count) / n)
 
 
 @functools.lru_cache(maxsize=64)

@@ -238,7 +238,6 @@ def kernel_otf(weights, shape: tuple[int, int]) -> np.ndarray:
     return np.fft.rfft2(big)
 
 
-@functools.lru_cache(maxsize=64)
 def _taper_ramp(n: int, t: int) -> np.ndarray:
     ramp = np.ones(n)
     t = min(t, n // 2)
@@ -246,7 +245,6 @@ def _taper_ramp(n: int, t: int) -> np.ndarray:
         edge = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, t + 1) / (t + 1.0)))
         ramp[:t] = edge
         ramp[n - t:] = edge[::-1]
-    ramp.flags.writeable = False
     return ramp
 
 

@@ -321,6 +321,25 @@ def test_tiled_training_step_matches_the_whole_batch_step(monkeypatch, workers):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_headless_network_trains_its_trunk_alone(tmp_path):
+    """A network whose trunk ends at its last layer tapes no head: its
+    3 tiles' gradients still match the whole-batch step."""
+    rng = np.random.default_rng(5)
+    layers = [Conv2d(1, 4, 3, 2, rng), ReLU(), Conv2d(4, 1, 3, 1, rng), GlobalAveragePool()]
+    save_model(Network(layers, input_side=64), tmp_path / "model.bin")
+    net = load_model(tmp_path / "model.bin")
+    x = _scene_patches(37, 64, seed=13)
+    y = (np.arange(37) % 2 == 0).astype(np.float64)
+    want_z, want_loss, want_grads = _whole_batch_step(net, x, y)
+    tape = []
+    z = net.logits(x, tape)
+    loss, dz = bce_with_logits(z, y)
+    assert len(tape) == 1 and len(tape[0][1]) == 3
+    assert np.array_equal(z, want_z) and loss == want_loss
+    for got, want in zip(net.backward(tape, dz), want_grads, strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_training_gives_the_same_bytes_on_any_thread_count(monkeypatch, tmp_path):
     """One, two and three threads (batch 48 makes three tiles), switching
     every 10 us: a gradient update lost or folded out of order would change
@@ -527,9 +546,15 @@ def test_backward_skips_only_the_discarded_input_gradient(first):
     skipped = net.backward(tape, dz)
     grads = {}
     d = dz.reshape(-1, 1)
-    for layer, saved in reversed(tape):
+    for layer, saved in reversed(tape[1:]):
         d = layer.backward(d, saved, grads)
-    assert d.shape == (4, 1, 12, 12)
+    tile, tile_tapes = tape[0]
+    dx = []
+    for d, tile_tape in zip(np.split(d, range(tile, len(d), tile)), tile_tapes, strict=True):
+        for layer, saved in reversed(tile_tape):
+            d = layer.backward(d, saved, grads)
+        dx.append(d)
+    assert np.concatenate(dx).shape == (4, 1, 12, 12)
     assert all(np.array_equal(a, b) for a, b in zip(skipped, _in_parameter_order(net, grads), strict=True))
 
 

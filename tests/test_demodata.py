@@ -21,14 +21,12 @@ from regiondeblur.demodata import (
 from regiondeblur.imagecore import Image, Kernel, convolve_direct
 
 
-def _reference_motion_kernel(side, seed, steps=None):
+def _reference_motion_kernel(side, seed):
     rng = np.random.default_rng(seed)
-    if steps is None:
-        steps = 6 * side
     grid = np.zeros((side, side))
     pos = np.array([side / 2.0, side / 2.0])
     vel = rng.normal(0.0, 0.4, 2)
-    for _ in range(steps):
+    for _ in range(6 * side):
         vel = 0.85 * vel + rng.normal(0.0, 0.25, 2)
         pos = np.clip(pos + vel, 0.0, side - 1.001)
         r0, c0 = int(pos[0]), int(pos[1])
@@ -80,13 +78,13 @@ def _reference_eval_scene(side, seed, stripe_period):
     return Image(img)
 
 
-def _clipped_steps(side, seed, steps):
+def _clipped_steps(side, seed):
     """How many steps of the reference walk the clip moves."""
     rng = np.random.default_rng(seed)
     pos = np.array([side / 2.0, side / 2.0])
     vel = rng.normal(0.0, 0.4, 2)
     hits = 0
-    for _ in range(steps):
+    for _ in range(6 * side):
         vel = 0.85 * vel + rng.normal(0.0, 0.25, 2)
         moved = pos + vel
         pos = np.clip(moved, 0.0, side - 1.001)
@@ -117,17 +115,9 @@ def test_motion_kernel_matches_the_per_step_walk(side):
         assert np.array_equal(random_motion_kernel(side, seed=seed).weights, expected)
 
 
-@pytest.mark.parametrize("steps", [-3, 0, 1, 7, 40, 500])
-@pytest.mark.parametrize("side", [3, 5, 11, 27])
-def test_motion_kernel_matches_the_per_step_walk_for_every_step_count(side, steps):
-    for seed in range(5):
-        expected = _reference_motion_kernel(side, seed, steps).weights
-        assert np.array_equal(random_motion_kernel(side, seed=seed, steps=steps).weights, expected)
-
-
 def test_motion_kernel_guards_cover_clipped_walks():
-    assert all(_clipped_steps(3, seed, 18) > 0 for seed in range(12))
-    assert sum(_clipped_steps(11, seed, 500) > 0 for seed in range(5)) > 0
+    assert all(_clipped_steps(3, seed) > 0 for seed in range(12))
+    assert all(_clipped_steps(11, seed) > 0 for seed in range(5))
 
 
 @pytest.mark.parametrize("side", [8, 9, 13, 16, 31, 47, 64, 97, 160, 229, 288, 384])
