@@ -321,9 +321,11 @@ def test_tiled_training_step_matches_the_whole_batch_step(monkeypatch, workers):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_headless_network_trains_its_trunk_alone(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_headless_network_trains_its_trunk_alone(monkeypatch, tmp_path, workers):
     """A network whose trunk ends at its last layer tapes no head: its
-    3 tiles' gradients still match the whole-batch step."""
+    3 tiles' gradients still match the whole-batch step on any thread count."""
+    _force_tile_workers(monkeypatch, workers)
     rng = np.random.default_rng(5)
     layers = [Conv2d(1, 4, 3, 2, rng), ReLU(), Conv2d(4, 1, 3, 1, rng), GlobalAveragePool()]
     save_model(Network(layers, input_side=64), tmp_path / "model.bin")

