@@ -221,9 +221,8 @@ def _cmd_train(opts: dict) -> None:
         batch_size=opts["batch_size"],
         epochs=opts["epochs"],
         seed=opts["seed"],
-        input_side=samples[0].patch.height,
     )
-    net = build_small_resnet(seed=cfg.seed, input_side=cfg.input_side)
+    net = build_small_resnet(seed=cfg.seed, input_side=samples[0].patch.height)
     result = train(net, samples, cfg)
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,8 +240,7 @@ def _cmd_select(opts: dict) -> None:
         raise ValidationError(f"top must be positive, got {opts['top']}")
     net = load_model(opts["model"])
     image = read_image(opts["image"])
-    grid = PatchGridSpec(patch_size=net.input_side, stride=opts["stride"])
-    ranked = score_patches(net, image, grid)[:opts["top"]]
+    ranked = score_patches(net, image, opts["stride"])[:opts["top"]]
     for rp in ranked:
         print(f"{rp.ref.row0} {rp.ref.col0} {rp.score:.6f}")
     if opts["out_json"]:
@@ -259,14 +257,12 @@ def _cmd_select(opts: dict) -> None:
 def _cmd_deblur(opts: dict) -> None:
     net = load_model(opts["model"])
     image = read_image(opts["image"])
-    grid = PatchGridSpec(patch_size=net.input_side, stride=opts["stride"])
     cfg = EstimatorConfig(kernel_size=opts["kernel_size"])
-    best = score_patches(net, image, grid)[0]
+    best = score_patches(net, image, opts["stride"])[0]
     estimate = estimate_kernel(extract(image, best.ref), cfg)
     if estimate.degenerate:
         print(
-            "warning: kernel estimation degenerated to the identity; "
-            "output equals the input",
+            "warning: kernel estimation degenerated; the image was deconvolved with a delta kernel",
             file=sys.stderr,
         )
     latent = deconvolve(image, estimate.kernel)

@@ -50,13 +50,12 @@ def textured_scene(side: int = 256, seed: int = 0, blobs: int = 40) -> Image:
     return Image(np.clip(img, 0.0, 1.0))
 
 
-def stripe_texture(side: int, period: int = 2, low: float = 0.0, high: float = 1.0,
-                   horizontal: bool = False) -> Image:
-    """Square-wave stripes; fine periods give edges closer than a blur kernel."""
+def stripe_texture(side: int, period: int = 2, horizontal: bool = False) -> Image:
+    """Black and white square-wave stripes; fine periods give edges closer than a blur kernel."""
     if period < 2:
         raise ValidationError(f"period must be at least 2, got {period}")
     axis = np.arange(side)
-    wave = np.where((axis % period) < period / 2, high, low)
+    wave = np.where((axis % period) < period / 2, 1.0, 0.0)
     img = np.tile(wave[:, None], (1, side)) if horizontal else np.tile(wave[None, :], (side, 1))
     return Image(img.astype(np.float64))
 

@@ -39,15 +39,15 @@ def _interior(arr: np.ndarray, margin: int) -> np.ndarray:
     return arr[margin:arr.shape[0] - margin, margin:arr.shape[1] - margin]
 
 
-def align_to_reference(image: Image, reference: Image, max_shift: int, margin: int) -> Image:
+def align_to_reference(image: Image, reference: Image, margin: int) -> Image:
     """Register ``image`` against ``reference`` by the best integer shift.
 
     Blind estimation recovers a kernel only up to translation, so a recovered
     latent image carries an unknown global shift; scored raw, the metric would
     measure that shift instead of restoration quality. The search covers all
-    shifts within ``max_shift`` and keeps the one with the smallest interior
-    squared error. ``margin`` must cover ``max_shift`` so pixels wrapped
-    around by the shift never enter the comparison.
+    shifts of at most ``margin`` per axis and keeps the one with the smallest
+    squared error inside a ``margin``-wide border, so pixels wrapped around
+    by the shift never enter the comparison.
 
     Every shift's squared error is first approximated at once: window energy
     from a summed-area table of ``image**2``, cross term from one FFT
@@ -58,27 +58,21 @@ def align_to_reference(image: Image, reference: Image, max_shift: int, margin: i
     """
     if image.shape != reference.shape:
         raise DimensionError(f"shape mismatch: {image.shape} vs {reference.shape}")
-    if max_shift < 0:
-        raise ValidationError(f"max_shift must be non-negative, got {max_shift}")
-    if margin < max_shift:
-        raise ValidationError(f"margin {margin} does not cover max_shift {max_shift}")
-    if max_shift == 0:
-        return image
     ref = _interior(reference.pixels, margin)
+    if margin == 0:
+        return image
     px = image.pixels
     h, w = ref.shape
-    span = 2 * max_shift + 1
+    span = 2 * margin + 1
     # Shift (dy, dx) compares the h x w window of px at (margin - dy,
-    # margin - dx) with ref. `energy` and `cross` are indexed by window corner
-    # minus `lo`; flipped, index (i, j) is shift (i - max_shift, j - max_shift).
-    lo = margin - max_shift
+    # margin - dx) with ref. `energy` and `cross` are indexed by window
+    # corner; flipped, index (i, j) is shift (i - margin, j - margin).
     sq = np.zeros((px.shape[0] + 1, px.shape[1] + 1))
     sq[1:, 1:] = np.cumsum(np.cumsum(px * px, axis=0), axis=1)
-    corner = sq[lo:lo + span, lo:lo + span]
-    energy = (sq[lo + h:lo + h + span, lo + w:lo + w + span] - sq[lo:lo + span, lo + w:lo + w + span]
-              - sq[lo + h:lo + h + span, lo:lo + span] + corner)
+    energy = (sq[h:h + span, w:w + span] - sq[:span, w:w + span]
+              - sq[h:h + span, :span] + sq[:span, :span])
     spectrum = np.fft.rfft2(px) * np.conj(np.fft.rfft2(ref, s=px.shape))
-    cross = np.fft.irfft2(spectrum, s=px.shape)[lo:lo + span, lo:lo + span]
+    cross = np.fft.irfft2(spectrum, s=px.shape)[:span, :span]
     ref_energy = float(np.sum(ref * ref))
     approx = (energy - 2.0 * cross + ref_energy)[::-1, ::-1]
     # Each approximation and each exact np.sum lies within `slack` of the true
@@ -94,7 +88,7 @@ def align_to_reference(image: Image, reference: Image, max_shift: int, margin: i
     best_ssd = math.inf
     best_shift = (0, 0)
     for i, j in zip(*np.nonzero(near)):
-        dy, dx = int(i) - max_shift, int(j) - max_shift
+        dy, dx = int(i) - margin, int(j) - margin
         window = px[margin - dy:margin - dy + h, margin - dx:margin - dx + w]
         ssd = float(np.sum((window - ref) ** 2))
         if ssd < best_ssd:
@@ -193,7 +187,7 @@ def _interior_psnr(image: Image, reference: Image, margin: int) -> float:
 def _region(method: str, blurred: Image, grid: PatchGridSpec, net, seed: int) -> PatchRef | None:
     """The patch ``method`` estimates from; None for ``whole``, the full image."""
     if method == "top":
-        return score_patches(net, blurred, grid)[0].ref
+        return score_patches(net, blurred, grid.stride)[0].ref
     if method == "random":
         refs = patch_grid(blurred, grid)
         return refs[int(np.random.default_rng(seed).integers(len(refs)))]
@@ -236,8 +230,8 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
     if "top" in methods and net is None:
         raise ValidationError("method 'top' needs a trained classifier")
     if "top" in methods and grid.patch_size != net.input_side:
-        raise ValidationError(f"patch size {grid.patch_size} does not match the classifier's "
-                              f"input side {net.input_side}, so 'top' cannot score it")
+        raise ValidationError(f"patch size {grid.patch_size} differs from the side {net.input_side} "
+                              "that 'top' scores at; every method's patches must be one size")
     if not manifest.entries:
         raise ValidationError("corpus manifest has no entries")
 
@@ -249,7 +243,7 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
         true_kernel = read_kernel(manifest.resolve(entry.kernel_path))
         margin = max(true_kernel.side_h, true_kernel.side_w) // 2
         try:  # every method scores against the baseline
-            baseline = align_to_reference(deconvolve(blurred, true_kernel), sharp, margin, margin)
+            baseline = align_to_reference(deconvolve(blurred, true_kernel), sharp, margin)
         except RegionDeblurError as exc:
             baseline = exc
 
@@ -263,8 +257,7 @@ def evaluate_pipeline(manifest: CorpusManifest, grid: PatchGridSpec,
                     cfg = EstimatorConfig.for_kernel(true_kernel)
                     ref = _region(method, blurred, grid, net, derive_seed(master_seed, index))
                     estimate = estimate_kernel(blurred if ref is None else extract(blurred, ref), cfg)
-                    recovered = align_to_reference(deconvolve(blurred, estimate.kernel), sharp,
-                                                   margin, margin)
+                    recovered = align_to_reference(deconvolve(blurred, estimate.kernel), sharp, margin)
                     similarity = kernel_similarity(estimate.kernel, true_kernel)
                     status = "degenerate" if estimate.degenerate else "ok"
                 scores = (error_ratio(recovered, sharp, baseline, margin),

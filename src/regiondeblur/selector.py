@@ -21,10 +21,11 @@ class RankedPatch:
     score: float
 
 
-def score_patches(net: Network, image: Image, grid: PatchGridSpec) -> list[RankedPatch]:
-    """Score every grid patch, a view of the image; ties rank earlier (row-major) patches first."""
-    refs = patch_grid(image, grid)
-    windows = sliding_window_view(image.pixels, (grid.patch_size, grid.patch_size))
+def score_patches(net: Network, image: Image, stride: int) -> list[RankedPatch]:
+    """Score each ``net.input_side`` grid patch, a view; ties rank earlier (row-major) patches first."""
+    side = net.input_side
+    refs = patch_grid(image, PatchGridSpec(patch_size=side, stride=stride))
+    windows = sliding_window_view(image.pixels, (side, side))
     scores = net.forward_batch([windows[r.row0, r.col0] for r in refs])
     order = sorted(range(len(refs)), key=lambda i: (-scores[i], refs[i].row0, refs[i].col0))
     return [RankedPatch(ref=refs[i], score=float(scores[i])) for i in order]

@@ -1,16 +1,27 @@
 import json
 import math
+import os
 import re
 import shlex
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from regiondeblur.classifier import build_small_resnet, save_model
+import regiondeblur
+from regiondeblur.classifier import (
+    Conv2d,
+    Dense,
+    GlobalAveragePool,
+    Network,
+    build_small_resnet,
+    save_model,
+)
 from regiondeblur.cli import (
     _COMMANDS,
     EXIT_FORMAT,
@@ -20,10 +31,11 @@ from regiondeblur.cli import (
     main,
     resolve_options,
 )
-from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel
+from regiondeblur.demodata import eval_scene, flat_patch, random_motion_kernel, textured_scene
 from regiondeblur.estimator import EstimatorConfig, deconvolve, estimate_kernel
 from regiondeblur.evaluation import EVAL_CSV_HEADER
 from regiondeblur.imagecore import (
+    Image,
     Kernel,
     encode_pfm,
     encode_pgm,
@@ -225,6 +237,28 @@ def test_deblur_degenerate_is_a_soft_failure(pipeline, tmp_path, capsys):
     assert (out / "deblurred.pfm").exists()
 
 
+def test_deblur_degenerate_deconvolves_with_a_delta(tmp_path, capsys):
+    """A zero-weight model scores every patch 0.5, so the flat top-left
+    corner ranks first and its estimate degenerates; the textured image is
+    then deconvolved with a 7 px delta, which does not return it unchanged."""
+    pixels = textured_scene(96, seed=0).pixels.copy()
+    pixels[:32, :32] = 0.5
+    write_image(Image(pixels), tmp_path / "img.pfm")
+    layers = [Conv2d(1, 2, 3, 2), GlobalAveragePool(), Dense(2, 1)]
+    save_model(Network(layers, input_side=32), tmp_path / "model.bin")
+    out = tmp_path / "out"
+    assert main([
+        "deblur", "--model", str(tmp_path / "model.bin"), "--image", str(tmp_path / "img.pfm"),
+        "--kernel-size", "7", "--stride", "32", "--out-dir", str(out),
+    ]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "the image was deconvolved with a delta kernel" in captured.err
+    assert "from patch (0, 0) scored 0.5000" in captured.out
+    image = read_image(tmp_path / "img.pfm")
+    assert (out / "deblurred.pfm").read_bytes() == encode_pfm(deconvolve(image, Kernel.delta(7)))
+    assert (out / "deblurred.pfm").read_bytes() != encode_pfm(image)
+
+
 def test_evaluate_outputs(pipeline, tmp_path, capsys):
     out = tmp_path / "eval"
     assert main([
@@ -279,7 +313,8 @@ def test_evaluate_turns_a_failing_image_into_status_rows(pipeline, tmp_path, cap
 
 
 def test_evaluate_rejects_a_patch_size_its_model_cannot_score(pipeline, tmp_path, capsys):
-    """`top` with a 48 px grid and a 32 px model exits 2 and writes nothing."""
+    """`top` with a 48 px grid and a 32 px model would pick 32 px patches
+    beside the other methods' 48 px ones, so it exits 2 and writes nothing."""
     out = tmp_path / "eval"
     assert main([
         "evaluate", "--manifest", str(pipeline["corpus"] / "manifest.json"),
@@ -521,6 +556,16 @@ def test_argparse_failures_and_help(capsys):
     assert main(["no-such-command"]) == EXIT_VALIDATION
     assert main(["--help"]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_module_entry_point_lists_every_command():
+    """``python -m regiondeblur --help`` runs `main` and names all six commands."""
+    env = {**os.environ, "PYTHONPATH": str(Path(regiondeblur.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "regiondeblur", "--help"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == EXIT_OK, result.stderr
+    for command in ("synthesize", "label", "train", "select", "deblur", "evaluate"):
+        assert command in result.stdout
 
 
 def test_missing_model_file_is_a_format_error(tmp_path, capsys):

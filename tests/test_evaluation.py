@@ -86,25 +86,25 @@ def test_align_recovers_a_known_shift():
     rng = np.random.default_rng(3)
     reference = rng.uniform(size=(24, 24))
     shifted = np.roll(reference, (2, -1), axis=(0, 1))
-    aligned = align_to_reference(_img(shifted), _img(reference), max_shift=3, margin=3)
+    aligned = align_to_reference(_img(shifted), _img(reference), margin=3)
     assert np.array_equal(aligned.pixels, reference)
 
 
 def test_align_leaves_registered_images_alone():
     rng = np.random.default_rng(4)
     reference = _img(rng.uniform(size=(20, 20)))
-    aligned = align_to_reference(reference, reference, max_shift=2, margin=2)
+    aligned = align_to_reference(reference, reference, margin=2)
     assert np.array_equal(aligned.pixels, reference.pixels)
 
 
 def test_align_validates_its_window():
     img = _img(np.zeros((16, 16)))
-    with pytest.raises(ValidationError):
-        align_to_reference(img, img, max_shift=3, margin=2)
-    with pytest.raises(ValidationError):
-        align_to_reference(img, img, max_shift=-1, margin=2)
-    with pytest.raises(DimensionError):
-        align_to_reference(img, _img(np.zeros((16, 17))), max_shift=1, margin=1)
+    with pytest.raises(ValidationError, match="margin must be non-negative"):
+        align_to_reference(img, img, margin=-1)
+    with pytest.raises(DimensionError, match="leaves no interior"):
+        align_to_reference(img, img, margin=8)
+    with pytest.raises(DimensionError, match="shape mismatch"):
+        align_to_reference(img, _img(np.zeros((16, 17))), margin=1)
 
 
 def _reference_align(image, reference, max_shift, margin):
@@ -126,8 +126,7 @@ def _reference_align(image, reference, max_shift, margin):
 @st.composite
 def _alignment_cases(draw):
     height, width = draw(st.integers(3, 40)), draw(st.integers(3, 40))
-    margin = draw(st.integers(1, (min(height, width) - 1) // 2))
-    max_shift = draw(st.integers(0, margin))
+    margin = draw(st.integers(0, (min(height, width) - 1) // 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     reference = rng.uniform(size=(height, width))
     kind = draw(st.sampled_from(["random", "flat", "quantized", "shifted", "ulp-apart"]))
@@ -140,19 +139,19 @@ def _alignment_cases(draw):
         reference = np.round(reference * levels) / levels
         image = np.round(rng.uniform(size=(height, width)) * levels) / levels
     elif kind == "shifted":
-        shift = rng.integers(-max_shift, max_shift + 1, size=2)
+        shift = rng.integers(-margin, margin + 1, size=2)
         image = np.roll(reference, tuple(shift), axis=(0, 1))
     else:
         image = reference * (1.0 + 2.0 ** -52 * rng.integers(-2, 3, size=(height, width)))
-    return _img(image), _img(reference), max_shift, margin
+    return _img(image), _img(reference), margin
 
 
 @settings(max_examples=300)
 @given(_alignment_cases())
 def test_align_matches_the_roll_loop(case):
-    image, reference, max_shift, margin = case
-    aligned = align_to_reference(image, reference, max_shift, margin)
-    assert np.array_equal(aligned.pixels, _reference_align(image, reference, max_shift, margin).pixels)
+    image, reference, margin = case
+    aligned = align_to_reference(image, reference, margin)
+    assert np.array_equal(aligned.pixels, _reference_align(image, reference, margin, margin).pixels)
 
 
 def test_psnr_known_values():
@@ -247,7 +246,7 @@ def test_evaluate_pipeline_controls_and_failures(eval_corpus, tmp_path):
         blurred = read_image(manifest.resolve(entry.blurred_path))
         refs = patch_grid(blurred, grid)
         picks = {
-            "top": score_patches(net, blurred, grid)[0].ref,
+            "top": score_patches(net, blurred, grid.stride)[0].ref,
             "random": refs[int(np.random.default_rng(derive_seed(9, index)).integers(len(refs)))],
             "center": PatchRef(16, 16, 32),
         }
@@ -274,16 +273,16 @@ def test_evaluate_pipeline_estimates_a_non_square_kernel_at_its_longer_side(wide
         sides.append(cfg.kernel_size)
         return estimate_kernel(blurred, cfg)
 
-    def spy_align(image, reference, max_shift, margin):
-        margins.append((max_shift, margin))
-        return align_to_reference(image, reference, max_shift, margin)
+    def spy_align(image, reference, margin):
+        margins.append(margin)
+        return align_to_reference(image, reference, margin)
 
     monkeypatch.setattr(evaluation, "estimate_kernel", spy_estimate)
     monkeypatch.setattr(evaluation, "align_to_reference", spy_align)
     records = evaluate_pipeline(wide_kernel_corpus, PatchGridSpec(patch_size=48, stride=48),
                                 EstimatorConfig(kernel_size=7), methods=("whole", "center", "gt"))
     assert sides == [15, 15]
-    assert margins == [(7, 7)] * 3
+    assert margins == [7] * 3
     assert [r.status for r in records] == ["ok"] * 3
 
 

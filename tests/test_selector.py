@@ -38,9 +38,9 @@ def seeded_net(side=16, seed=0):
 def test_score_patches_covers_whole_grid():
     net = seeded_net()
     image = eval_scene(64, seed=0)
-    grid = PatchGridSpec(patch_size=16, stride=16)
-    ranked = score_patches(net, image, grid)
+    ranked = score_patches(net, image, 16)
     assert len(ranked) == 16
+    assert all(r.ref.size == net.input_side for r in ranked)
     scores = [r.score for r in ranked]
     assert scores == sorted(scores, reverse=True)
 
@@ -48,7 +48,7 @@ def test_score_patches_covers_whole_grid():
 def test_score_patches_ties_rank_row_major():
     net = zero_net()
     image = Image(np.full((48, 48), 0.5))
-    ranked = score_patches(net, image, PatchGridSpec(patch_size=16, stride=16))
+    ranked = score_patches(net, image, 16)
     corners = [(r.ref.row0, r.ref.col0) for r in ranked]
     assert corners == [(r, c) for r in (0, 16, 32) for c in (0, 16, 32)]
     assert all(r.score == 0.5 for r in ranked)
@@ -75,14 +75,14 @@ def test_views_score_as_the_chunked_copies_do(side, image_side, stride):
     net = build_small_resnet(seed=side, input_side=side)
     image = eval_scene(image_side, seed=7)
     grid = PatchGridSpec(patch_size=side, stride=stride)
-    assert score_patches(net, image, grid) == _reference_scores(net, image, grid)
+    assert score_patches(net, image, stride) == _reference_scores(net, image, grid)
 
 
 def test_float32_scores_rank_a_228_px_grid_as_float64_does():
     net = build_small_resnet(seed=3, input_side=228)
     image = eval_scene(384, seed=11)
     grid = PatchGridSpec(patch_size=228, stride=52)
-    ranked = score_patches(net, image, grid)
+    ranked = score_patches(net, image, grid.stride)
     want = _reference_scores(net, image, grid, probabilities=lambda batch: _sigmoid(
         np.clip(net.logits(batch), -_LOGIT_CAP, _LOGIT_CAP)))
     scores = [r.score for r in want]
@@ -97,10 +97,10 @@ def test_score_patches_memory_is_one_tile_not_one_chunk():
     image = eval_scene(384, seed=3)
     grid = PatchGridSpec(patch_size=228, stride=20)
     assert len(patch_grid(image, grid)) == 64
-    score_patches(net, image, PatchGridSpec(patch_size=228, stride=228))
+    score_patches(net, image, 228)
     tracemalloc.start()
     try:
-        score_patches(net, image, grid)
+        score_patches(net, image, grid.stride)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
