@@ -25,10 +25,13 @@ order into the one whose arrays it returns, so layers hold no gradients. Tile
 boundaries come from the pixel budget alone, so logits, gradients and the
 stored model are the same bytes on any number of CPUs, and an untaped
 pass's memory is bounded per tile, not per batch. Scoring
-(`Network.forward_batch`) only has to rank patches, so it runs the trunk in
-float32: each tile is standardized in float64 and then cast, each
-convolution casts the current weights to its input's dtype, and the pooled
-features return to float64 for the head. `Network.logits`, training and the
+(`Network.forward_batch`) and each training step run the trunk in float32:
+each tile is standardized in float64 and then cast, each convolution casts
+the current weights to its input's dtype, and the pooled features return to
+float64 for the head. A convolution's backward runs in its saved columns'
+dtype and adds its gradients into float64 arrays, so training keeps float64
+master weights, momentum, loss and head (mixed-precision training,
+Micikevicius et al., ICLR 2018). `Network.logits`, its taped pass and the
 stored model stay in float64. Convolutions read their im2col columns
 straight from the unpadded input. The first pass of any network sets glibc's
 malloc to keep freed memory in one arena shared by every thread, so later
@@ -162,12 +165,13 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, oh: int, ow: int) -> n
 
 
 def _col2im(dcols: np.ndarray, shape, k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
-    """Input gradient of `_im2col`: each tap adds its in-bounds rectangle
-    back, in the same tap order, and what fell on the padding is dropped."""
+    """Input gradient of `_im2col`, in `dcols`' dtype: each tap adds its
+    in-bounds rectangle back, in the same tap order, and what fell on the
+    padding is dropped."""
     n, c, h, w = shape
     dcols = dcols.reshape(n, c, k, k, oh, ow)
     col_spans = _tap_spans(k, stride, pad, w, ow)
-    dx = np.zeros(shape)
+    dx = np.zeros(shape, dtype=dcols.dtype)
     for u, (r0, r1, rows) in enumerate(_tap_spans(k, stride, pad, h, oh)):
         for v, (c0, c1, cs) in enumerate(col_spans):
             dx[:, :, rows, cs] += dcols[:, :, u, v, r0:r1, c0:c1]
@@ -272,7 +276,7 @@ class Conv2d(_WeightBias):
         oh, ow = self.out_hw(h, w)
         cols = _im2col(x, self.kernel_size, self.stride, self.pad, oh, ow)
         # In the input's dtype: a no-op for float64, a fresh cast of the
-        # current weights for the float32 scoring pass.
+        # current weights for the float32 scoring and training passes.
         w2 = self.weight.reshape(self.out_channels, -1).astype(x.dtype, copy=False)
         out = np.matmul(w2, cols) + self.bias.astype(x.dtype, copy=False)[:, None]
         out = out.reshape(n, self.out_channels, oh, ow)
@@ -284,8 +288,9 @@ class Conv2d(_WeightBias):
                  input_grad: bool = True) -> np.ndarray | None:
         shape, cols, oh, ow = saved
         n = dout.shape[0]
-        dout2 = dout.reshape(n, self.out_channels, oh * ow)
-        w2 = self.weight.reshape(self.out_channels, -1)
+        # In the saved columns' dtype, as the forward pass ran.
+        dout2 = dout.reshape(n, self.out_channels, oh * ow).astype(cols.dtype, copy=False)
+        w2 = self.weight.reshape(self.out_channels, -1).astype(cols.dtype, copy=False)
         self._accumulate(grads,
                          np.matmul(dout2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weight.shape),
                          dout2.sum(axis=(0, 2)))
@@ -664,9 +669,11 @@ class TrainResult:
 def train(net: Network, samples, cfg: TrainConfig) -> TrainResult:
     """SGD with classical momentum: v <- m*v - lr*g, theta <- theta + v.
 
-    Samples are reshuffled each epoch with a seeded generator and the final
-    incomplete batch is dropped, so the per-epoch loss log is only strictly
-    constant at lr=0 when the sample count is a multiple of the batch size.
+    Each step's trunk runs forward and backward in float32; the parameters,
+    velocities, loss and the gradients they take stay float64. Samples are
+    reshuffled each epoch with a seeded generator and the final incomplete
+    batch is dropped, so the per-epoch loss log is only strictly constant at
+    lr=0 when the sample count is a multiple of the batch size.
     """
     samples = list(samples)
     if not samples:
@@ -695,7 +702,7 @@ def train(net: Network, samples, cfg: TrainConfig) -> TrainResult:
         for b in range(n // cfg.batch_size):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             tape: list = []
-            z = net.logits(x_all[idx], tape)
+            z = net._logits(x_all[idx], tape, np.float32)
             loss, dz = bce_with_logits(z, y_all[idx])
             losses.append(loss)
             correct += int(((z >= 0).astype(np.float64) == y_all[idx]).sum())

@@ -1,9 +1,12 @@
 import math
+import os
 import platform
 import statistics
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,11 +248,12 @@ def test_inference_memory_is_bounded_per_tile():
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="counts minor page faults under glibc malloc")
 def test_training_step_reuses_freed_memory():
-    """A steady-state training step faults no fresh pages in: the memory the
-    previous step's tape freed stays in the process. Without that, a batch-32,
-    64 px step takes about 6,500 minor faults. Steady steps take a dozen or
-    so, but one now and then takes several hundred, so the bar is on the
-    median of five steps after two warm-up steps."""
+    """A steady-state training step, the float32 one `train` takes, faults
+    no fresh pages in: the memory the previous step's tape freed stays in the
+    process. Without that, a batch-32, 64 px float64 step took about 6,500
+    minor faults. Steady steps take a dozen or so, but one now and then takes
+    several hundred, so the bar is on the median of five steps after two
+    warm-up steps."""
     import resource
 
     net = build_small_resnet(seed=0, input_side=64)
@@ -258,7 +262,7 @@ def test_training_step_reuses_freed_memory():
 
     def step():
         tape = []
-        _, dz = bce_with_logits(net.logits(x, tape), y)
+        _, dz = bce_with_logits(net._logits(x, tape, np.float32), y)
         net.backward(tape, dz)
 
     step()
@@ -321,6 +325,43 @@ def test_tiled_training_step_matches_the_whole_batch_step(monkeypatch, workers):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _tape_columns(tile_tape):
+    """The im2col columns that every convolution on one tile's tape saved."""
+    cols = []
+    for layer, saved in tile_tape:
+        if isinstance(layer, Conv2d):
+            cols.append(saved[1])
+        elif isinstance(layer, ResidualBlock):
+            cols.extend(_tape_columns(saved[0]))
+    return cols
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_training_step_stays_near_the_float64_step(seed):
+    """The step `train` takes runs its trunk in float32 on 37 patches of 64 px
+    (three tiles): logits within 1e-5 of the float64 step's, and float64
+    gradients each within 1e-4 of its float64 array's largest entry. Only
+    `Network.logits` tapes float64 columns."""
+    net = build_small_resnet(seed=seed, input_side=64)
+    x = _scene_patches(37, 64, seed=20 + seed)
+    y = (np.arange(37) % 3 == 0).astype(np.float64)
+    tape64, tape32 = [], []
+    z64 = net.logits(x, tape64)
+    z32 = net._logits(x, tape32, np.float32)
+    assert z32.dtype == np.float64 and np.max(np.abs(z32 - z64)) < 1e-5
+    for tape, dtype in ((tape64, np.float64), (tape32, np.float32)):
+        assert len(tape[0][1]) == 3
+        cols = [c for tile_tape in tape[0][1] for c in _tape_columns(tile_tape)]
+        assert len(cols) == 3 * 10 and all(c.dtype == dtype for c in cols)
+        block, saved = tape[0][1][0][2]  # res1 of the first tile
+        assert block.backward(np.ones(saved[2].shape), saved, {}).dtype == dtype
+    want = net.backward(tape64, bce_with_logits(z64, y)[1])
+    got = net.backward(tape32, bce_with_logits(z32, y)[1])
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == np.float64 and g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-4 * np.max(np.abs(w))
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_headless_network_trains_its_trunk_alone(monkeypatch, tmp_path, workers):
     """A network whose trunk ends at its last layer tapes no head: its
@@ -368,6 +409,35 @@ def test_training_gives_the_same_bytes_on_any_thread_count(monkeypatch, tmp_path
         assert all(np.array_equal(a, b) for a, b in zip(params_1, params))
         assert model == model_1
         assert np.array_equal(probs, probs_1)
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from regiondeblur.classifier import TrainConfig, TrainingSample, build_small_resnet, train
+from regiondeblur.imagecore import Image
+patches = np.random.default_rng(21).uniform(0, 1, (96, 64, 64))
+samples = [TrainingSample(patch=Image(p), label=i % 2) for i, p in enumerate(patches)]
+net = build_small_resnet(seed=22, input_side=64)
+train(net, samples, TrainConfig(learning_rate=0.01, batch_size=48, epochs=2, seed=23))
+print(hashlib.sha256(b"".join(p.tobytes() for p in net.parameters())).hexdigest())
+"""
+
+
+def test_training_gives_the_same_bytes_at_any_blas_thread_count():
+    """OpenBLAS reads its thread count when it loads, so each count trains
+    in a process of its own: the float32 GEMMs of 2 epochs on 96 random
+    64 px patches (three tiles a step) give the same parameter bytes on one
+    BLAS thread and on two."""
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(classifier.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_no_tile_thread_outlives_its_pass(monkeypatch):
