@@ -35,7 +35,10 @@ Micikevicius et al., ICLR 2018). `Network.logits`, its taped pass and the
 stored model stay in float64. Convolutions read their im2col columns
 straight from the unpadded input. The first pass of any network sets glibc's
 malloc to keep freed memory in one arena shared by every thread, so later
-passes reuse it instead of faulting it in.
+passes reuse it instead of faulting it in. Every pass holds OpenBLAS to one
+thread in its caller and in each tile thread, and gives back the old count
+when it ends, so the tile threads are the only parallelism and BLAS runs no
+pool of its own under them.
 
 Models serialize to a self-describing container: magic bytes, a format
 version, a JSON layer-descriptor header carrying a SHA-256 payload checksum,
@@ -44,6 +47,7 @@ and the little-endian float64 parameters.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import functools
@@ -99,6 +103,54 @@ def _keep_freed_memory() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
+@functools.cache
+def _openblas_libraries() -> tuple[ctypes.CDLL, ...]:
+    """Every OpenBLAS this process has loaded that exports
+    ``openblas_set_num_threads_local``, found by its path among the mapped
+    objects: numpy loads its bundled copy with local symbols, so
+    ``ctypes.CDLL(None)`` cannot see it. Looked up once, on the first pass;
+    empty where none is found (MKL, Accelerate, a BLAS without the symbol,
+    or no ``/proc``)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = [fields[5].rstrip("\n") for fields in (line.split(None, 5) for line in maps)
+                     if len(fields) == 6]
+    except OSError:
+        return ()
+    libraries = []
+    for path in dict.fromkeys(paths):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            library = ctypes.CDLL(path)
+            set_threads = library.openblas_set_num_threads_local
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes = (ctypes.c_int,)
+        set_threads.restype = ctypes.c_int
+        libraries.append(library)
+    return tuple(libraries)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread in the calling thread while the block
+    runs, then give each library back the count its setter returned. The
+    tile threads are a pass's parallelism: at its default count, OpenBLAS
+    would run a pool of its own under each of them, and the two pools would
+    contend for the CPUs. Where the library keeps one count for the whole
+    process (its pthreads build, numpy's), the caller's setting already
+    covers the tile threads, whose own calls read and restore 1. Does
+    nothing where no OpenBLAS is found."""
+    setters = [library.openblas_set_num_threads_local for library in _openblas_libraries()]
+    previous = [set_threads(1) for set_threads in setters]
+    try:
+        yield
+    finally:
+        for set_threads, count in zip(setters, previous):
+            set_threads(count)
+
+
 def _tile_workers(tiles: int) -> int:
     """Threads for a pass over `tiles` tiles: at most one per tile and one per
     CPU this process may run on."""
@@ -109,13 +161,14 @@ def _tile_workers(tiles: int) -> int:
 def _map_tiles(fn, tiles: list) -> list:
     """`[fn(t) for t in tiles]` over the tiles of one pass, on a thread pool
     whose threads are joined before this returns, so none outlives the pass
-    (and a later fork copies none); inline when there is one worker.
+    (and a later fork copies none); inline when there is one worker. Each
+    pool thread holds BLAS to one thread, as the pass does in its caller.
     Results keep tile order."""
     workers = _tile_workers(len(tiles))
     if workers <= 1:
         return [fn(t) for t in tiles]
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, tiles))
+        return list(pool.map(_one_blas_thread()(fn), tiles))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -493,6 +546,7 @@ class Network:
         without a tape."""
         return self._logits(batch, tape, np.float64)
 
+    @_one_blas_thread()
     def _logits(self, batch, tape: list | None, dtype) -> np.ndarray:
         """The trunk runs in `dtype` on tiles, each checked, stacked and
         standardized in float64 on its own, and the head in float64 on the
@@ -520,6 +574,7 @@ class Network:
             x = layer.forward(x, tape)
         return x.reshape(-1)
 
+    @_one_blas_thread()
     def backward(self, tape: list, dlogits: np.ndarray) -> list[np.ndarray]:
         """Fresh parameter gradients of the pass on `tape`, in `parameters()`
         order. The head runs backward in the calling thread; each tile's tape

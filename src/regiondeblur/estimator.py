@@ -32,6 +32,11 @@ image shape.
 transforms) and calls `solve_kernel` and `deconvolve` on every iteration
 (8 transforms), so a level makes 42 transforms and the first level 37, as
 it skips one latent solve.
+
+The module imports only numpy. Presmoothing is
+`scipy.ndimage.gaussian_filter(mode="nearest")` to the bit, and the shock
+filter the step that `ndimage.convolve` and `np.gradient` would build, so
+scipy serves only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateInputError, DimensionError, ValidationError
 from .imagecore import (
@@ -173,10 +177,34 @@ def _shock_step(arr: np.ndarray) -> np.ndarray:
     return arr - np.sign(lap) * np.hypot(gx, gy) * _SHOCK_DT
 
 
+def _smooth_columns(arr: np.ndarray) -> np.ndarray:
+    """`arr` correlated with `_PRESMOOTH_TAPS` along axis 0, edges replicated,
+    summed as `ndimage.correlate1d` sums symmetric taps: the centre tap's
+    product, then for each mirrored pair from the outermost in, the pair's
+    sum times its tap, added in place. Along axis 0 each shifted window is
+    one contiguous block, and one scratch buffer holds each pair's product,
+    so the pass allocates nothing per tap."""
+    r = len(_PRESMOOTH_TAPS) // 2
+    n = len(arr)
+    padded = np.empty((n + 2 * r,) + arr.shape[1:])
+    padded[r:r + n] = arr
+    padded[:r] = arr[0]
+    padded[r + n:] = arr[-1]
+    out = padded[r:r + n] * _PRESMOOTH_TAPS[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], pair)
+        pair *= _PRESMOOTH_TAPS[r + j]
+        out += pair
+    return out
+
+
 def _presmooth(pixels: np.ndarray) -> np.ndarray:
-    """`ndimage.gaussian_filter(pixels, PRESMOOTH_SIGMA, mode="nearest")`."""
-    arr = ndimage.correlate1d(pixels, _PRESMOOTH_TAPS, axis=0, mode="nearest")
-    return ndimage.correlate1d(arr, _PRESMOOTH_TAPS, axis=1, output=arr, mode="nearest")
+    """`ndimage.gaussian_filter(pixels, PRESMOOTH_SIGMA, mode="nearest")` bit
+    for bit: its `correlate1d` pass along axis 0, then the one along axis 1
+    (run on the transpose), each with ndimage's symmetric-tap arithmetic in
+    ndimage's order. The result is C-contiguous, like ndimage's."""
+    return np.ascontiguousarray(_smooth_columns(_smooth_columns(pixels).T).T)
 
 
 def predict_gradients(latent: Image) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import platform
@@ -420,24 +421,121 @@ patches = np.random.default_rng(21).uniform(0, 1, (96, 64, 64))
 samples = [TrainingSample(patch=Image(p), label=i % 2) for i, p in enumerate(patches)]
 net = build_small_resnet(seed=22, input_side=64)
 train(net, samples, TrainConfig(learning_rate=0.01, batch_size=48, epochs=2, seed=23))
+held_out = net.forward_batch(np.random.default_rng(24).uniform(0, 1, (40, 64, 64)))
 print(hashlib.sha256(b"".join(p.tobytes() for p in net.parameters())).hexdigest())
+print(hashlib.sha256(held_out.tobytes()).hexdigest())
 """
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def test_training_gives_the_same_bytes_at_any_blas_thread_count():
     """OpenBLAS reads its thread count when it loads, so each count trains
     in a process of its own: the float32 GEMMs of 2 epochs on 96 random
-    64 px patches (three tiles a step) give the same parameter bytes on one
-    BLAS thread and on two."""
+    64 px patches (three tiles a step) give the same parameter bytes and
+    held-out probabilities on one BLAS thread, on two, and with no thread
+    variable set at all (the library's default, which each pass holds to
+    one thread)."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = str(Path(classifier.__file__).parents[1])
     digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": str(Path(classifier.__file__).parents[1]),
-               "OPENBLAS_NUM_THREADS": threads}
+    for env in ({**base, "OPENBLAS_NUM_THREADS": "1"}, {**base, "OPENBLAS_NUM_THREADS": "2"}, base):
         result = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
                                 capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
-        digests.append(result.stdout.strip())
-    assert len(digests[0]) == 64 and digests[0] == digests[1]
+        digests.append(result.stdout.split())
+    assert [len(d) for d in digests[0]] == [64, 64]
+    assert digests[0] == digests[1] == digests[2]
+
+
+def _blas_counts():
+    """Each OpenBLAS the classifier holds to one thread, read in the calling
+    thread through the handle it sets the count with."""
+    libraries = classifier._openblas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS with a thread-count setter is loaded")
+    counts = []
+    for library in libraries:
+        for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads"):
+            if hasattr(library, name):
+                get_threads = getattr(library, name)
+                get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+                counts.append(get_threads())
+                break
+        else:
+            pytest.skip("the loaded OpenBLAS exports no thread-count getter")
+    return counts
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at two threads, so a pass that leaked its one
+    thread would show; the old counts come back afterwards."""
+    _blas_counts()
+    setters = [library.openblas_set_num_threads_local for library in classifier._openblas_libraries()]
+    previous = [set_threads(2) for set_threads in setters]
+    yield [2] * len(setters)
+    for set_threads, count in zip(setters, previous):
+        set_threads(count)
+
+
+def test_a_pass_holds_blas_to_one_thread_and_restores_the_count(monkeypatch, two_blas_threads):
+    _force_tile_workers(monkeypatch, 2)
+    net = build_small_resnet(seed=6, input_side=64)
+    x = _scene_patches(37, 64, seed=17)
+    seen = []
+    stem_forward, head_forward = net.layers[0].forward, net.layers[-1].forward
+
+    def counting(forward):
+        def wrapped(*args):
+            seen.append((threading.get_ident(), _blas_counts()))
+            return forward(*args)
+        return wrapped
+
+    net.layers[0].forward, net.layers[-1].forward = counting(stem_forward), counting(head_forward)
+    tape = []
+    z = net.logits(x, tape)
+    assert _blas_counts() == two_blas_threads
+    net.backward(tape, bce_with_logits(z, np.arange(37) % 2)[1])
+    assert _blas_counts() == two_blas_threads
+    net.forward_batch(x)
+    assert _blas_counts() == two_blas_threads
+    # Three tiles on the pool and the head in the caller, for each forward pass.
+    assert len(seen) == 8 and len({ident for ident, _ in seen}) > 1
+    assert all(counts == [1] * len(two_blas_threads) for _, counts in seen)
+
+
+def test_a_pass_that_raises_restores_the_blas_count(monkeypatch, two_blas_threads):
+    _force_tile_workers(monkeypatch, 2)
+    net = build_small_resnet(seed=7, input_side=64)
+
+    def fail(*args):
+        raise RuntimeError("tile failed")
+
+    net.layers[0].forward = fail
+    with pytest.raises(RuntimeError, match="tile failed"):
+        net.forward_batch(_scene_patches(37, 64, seed=18))
+    assert _blas_counts() == two_blas_threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_passes_run_where_no_openblas_is_found(monkeypatch, workers):
+    """With no library to set, a pass runs at whatever BLAS count the process
+    has, and returns the same bits."""
+    _force_tile_workers(monkeypatch, workers)
+    net = build_small_resnet(seed=8, input_side=64)
+    x = _scene_patches(37, 64, seed=19)
+    y = np.arange(37) % 2
+
+    def step():
+        tape = []
+        z = net._logits(x, tape, np.float32)
+        return [z, *net.backward(tape, bce_with_logits(z, y)[1]), net.forward_batch(x)]
+
+    want = step()
+    monkeypatch.setattr(classifier, "_openblas_libraries", lambda: ())
+    for got, expected in zip(step(), want, strict=True):
+        assert np.array_equal(got, expected)
 
 
 def test_no_tile_thread_outlives_its_pass(monkeypatch):

@@ -372,6 +372,38 @@ def test_evaluate_reads_the_model_only_for_top(pipeline, tmp_path):
     assert (bad / "results.csv").read_bytes() == (plain / "results.csv").read_bytes()
 
 
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from regiondeblur.cli import main
+for argv in sys.argv[1:]:
+    status = main(argv.split())
+    if status:
+        sys.exit(f"{argv.split()[0]} exited {status}")
+"""
+
+
+def test_pipeline_runs_without_scipy(pipeline, tmp_path):
+    """`synthesize`, `label`, `train` and `evaluate` run in a process where
+    scipy cannot be imported, so the package needs none of it at run time."""
+    corpus, dataset, model, out = (tmp_path / name for name in ("corpus", "dataset", "model", "eval"))
+    commands = [
+        f"synthesize --sharp-dir {pipeline['sharp']} --kernel-dir {pipeline['kernels']} "
+        f"--out-dir {corpus} --sigma 1.0 --seed 5",
+        f"label --manifest {corpus / 'manifest.json'} --out-dir {dataset} --patch-size 32 "
+        f"--stride 32 --kernel-size 7 --lambda 0.6",
+        f"train --dataset {dataset / 'dataset.json'} --out-dir {model} --epochs 1 "
+        f"--batch-size 8 --seed 3",
+        f"evaluate --manifest {corpus / 'manifest.json'} --model {model / 'model.bin'} "
+        f"--out-dir {out} --patch-size 32 --stride 32 --methods gt,top",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(regiondeblur.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *commands], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert (out / "results.csv").read_text().splitlines()[0] == EVAL_CSV_HEADER
+
+
 def test_readme_walkthrough_parses():
     """Every `regiondeblur` command in the README's walkthrough uses only current options."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

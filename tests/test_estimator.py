@@ -519,8 +519,18 @@ def test_shock_step_matches_convolve_and_gradient(shape):
     assert np.array_equal(_shock_step(arr), _reference_shock_step(arr))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 8), (23, 23), (40, 37)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 3), (4, 4), (3, 8), (23, 23),
+                                   (40, 37)])
 def test_presmoothing_matches_gaussian_filter(shape):
     pixels = np.random.default_rng(shape[0] * 100 + shape[1]).uniform(0, 1, shape)
+    expected = ndimage.gaussian_filter(pixels, PRESMOOTH_SIGMA, mode="nearest")
+    assert np.array_equal(_presmooth(pixels), expected)
+
+
+@given(st.integers(1, 48), st.integers(1, 48), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_presmoothing_matches_gaussian_filter_at_any_shape_and_scale(h, w, log_scale, seed):
+    """Bit for bit against `gaussian_filter` on images of 1-48 px a side whose
+    values run up to 1e-3 through 1e3, so no shape or magnitude moves a sum."""
+    pixels = np.random.default_rng(seed).uniform(0, 10.0 ** log_scale, (h, w))
     expected = ndimage.gaussian_filter(pixels, PRESMOOTH_SIGMA, mode="nearest")
     assert np.array_equal(_presmooth(pixels), expected)

@@ -14,15 +14,14 @@ def test_every_exported_name_resolves():
 
 
 def test_cli_import_loads_no_heavy_scipy_subpackage():
-    """`import regiondeblur.cli` in a fresh interpreter pulls in none of the
-    heavy scipy subpackages that `scipy.signal` would drag along: every CLI
-    command and every worker process pays its start-up."""
-    heavy = ["scipy.signal", "scipy.stats", "scipy.sparse", "scipy.linalg"]
+    """`import regiondeblur.cli` in a fresh interpreter loads no scipy module:
+    every CLI command and every worker process pays its start-up, and scipy
+    would load a second OpenBLAS beside numpy's."""
     src = str(Path(regiondeblur.__file__).resolve().parents[1])
     probe = "import sys, regiondeblur.cli; print(' '.join(sorted(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
-    assert "regiondeblur.cli" in loaded and "scipy.ndimage" in loaded
-    assert [name for name in heavy if name in loaded] == []
+    assert "regiondeblur.cli" in loaded
+    assert sorted(name for name in loaded if name == "scipy" or name.startswith("scipy.")) == []
